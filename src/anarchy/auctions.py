@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from random import Random
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import (
+    EXACT_SUPPORT_LIMIT,
     AllocationRule,
     CostCertificate,
     Counterexample,
@@ -31,7 +32,6 @@ from .rationals import F0, F1, frac, frac_str, parse_frac, weighted_index
 from .solvers import LinearProgram, solve_lp
 
 ITEM_LIMIT = 10  # subset enumeration guard for the configuration LP
-SUPPORT_GUARD = 10_000
 
 
 @lru_cache(maxsize=16)
@@ -503,11 +503,8 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
     for coin in (0, 1):
         q = _halved(xbar, coin)
         options = [_size_options(row) for row in q]
-        count = 1
-        for opts in options:
-            count *= len(opts)
-            if count > SUPPORT_GUARD:
-                raise SizeGuardError("rounding support too large to enumerate")
+        if prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
+            raise SizeGuardError("rounding support too large to enumerate")
         for combo in product(*options):
             prob = Fraction(1, 2)
             for p, _ in combo:
@@ -518,10 +515,6 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
             acc[outcome] = acc.get(outcome, F0) + prob
     return sorted(acc.items(), key=lambda kv: kv[0])
-
-
-def fair_round_support_list(xbar, m):
-    return [(p, r) for r, p in fair_round_support(xbar, m)]
 
 
 # -------------------------------------------------------------------- rules
@@ -553,13 +546,14 @@ def fair_rule(m: int) -> AllocationRule:
 
     return AllocationRule(
         domain="auction",
-        allocate=lambda bids, seed=None: fair_round(relax(bids), m, seed),
         exact=False,
         randomized=True,
-        support=lambda bids: fair_round_support_list(relax(bids), m),
         opt_welfare=lambda values: solve_cardinality_lp(m, values)[1],
         relax=relax,
         round_stage=lambda relaxed, seed: fair_round(relaxed, m, seed),
+        round_support=lambda relaxed: [
+            (p, r) for r, p in fair_round_support(relaxed, m)
+        ],
         name="ca-fair",
     )
 

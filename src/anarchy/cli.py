@@ -130,7 +130,10 @@ def cmd_paper_table(config: ExperimentConfig) -> list:
     t0 = time.monotonic()
 
     def add(name, results):
+        # each row's clock starts when the previous row was stamped
+        nonlocal t0
         rows.append(_mark(ReportRow(name, config, results), t0))
+        t0 = time.monotonic()
 
     add(
         "multi-unit",

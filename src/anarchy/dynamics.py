@@ -14,7 +14,8 @@ from random import Random
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .mechanism import AllocationRule, SmoothnessParams
+from .mechanism import AllocationRule, RelaxationCache, SmoothnessParams
+from .mechanism import poa_from_smoothness
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 
 SEED_SPAN = 2**63
@@ -167,28 +168,6 @@ def default_eta(grid: StrategyGrid, T: int) -> float:
     return 0.5 * sqrt(log(biggest) / T)
 
 
-class _OutcomeCache:
-    """Memoizes the deterministic relaxation stage across bid profiles.
-
-    Counterfactual re-runs revisit the same joint bid profile constantly;
-    a rule exposing relax/round_stage pays one relaxation solve per
-    distinct profile and one cheap rounding draw per (profile, seed).
-    """
-
-    def __init__(self, rule: AllocationRule):
-        self.rule = rule
-        self.relaxed = {}
-
-    def outcome(self, bids, seed):
-        if self.rule.relax is None or self.rule.round_stage is None:
-            return self.rule.allocate(bids, seed)
-        relaxed = self.relaxed.get(bids)
-        if relaxed is None:
-            relaxed = self.rule.relax(bids)
-            self.relaxed[bids] = relaxed
-        return self.rule.round_stage(relaxed, seed)
-
-
 def _utility(values, bids, outcome, i) -> Fraction:
     return values[i].value(outcome) - bids[i].value(outcome)
 
@@ -234,7 +213,7 @@ def run_hedge(
         if len(row) != len(scaled[i]) or min(row) <= 0:
             raise StructuralError("initial weights must be positive, one per strategy")
 
-    cache = _OutcomeCache(rule)
+    cache = RelaxationCache(rule)
     rng = Random(seed)
     rounds = []
     cumulative = [[F0] * len(scaled[i]) for i in range(n)]
@@ -334,7 +313,7 @@ def half_value_regret(trace: PlayTrace, values) -> tuple:
     scaled = [
         [values[i].scale(t) for t in trace.grid.thetas[i]] for i in range(n)
     ]
-    cache = _OutcomeCache(trace.rule)
+    cache = RelaxationCache(trace.rule)
     totals = [F0] * n
     for record in trace.rounds:
         bids = tuple(
@@ -381,7 +360,7 @@ def empirical_poa(
         infinite = False
     bound = None
     if smoothness is not None:
-        bound = max(F1, smoothness.mu) / smoothness.lam
+        bound = poa_from_smoothness(smoothness)
     return EmpiricalPoAReport(
         opt=opt,
         average_welfare=avg,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -28,14 +29,13 @@ from .errors import (
     SizeGuardError,
     StructuralError,
 )
-from .mechanism import AllocationRule, Counterexample, Valuation
+from .mechanism import EXACT_SUPPORT_LIMIT, AllocationRule, Counterexample, Valuation
 from .rationals import F0, F1, bernoulli, frac, frac_str, parse_frac, weighted_index
 from .solvers import CapacitatedDigraph, LinearProgram, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
 ASSIGNMENT_GUARD = 1_000_000  # integral assignments enumerated before refusing
-SUPPORT_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -534,11 +534,8 @@ def rt_support(flow: FractionalFlow, inst: FlowInstance, epsilon):
             for path, amt in flow_decompose(flow, i):
                 opts.append((amt / ((1 + epsilon) * req.demand), path))
         options.append([(p, c) for p, c in opts if p > 0])
-    count = 1
-    for opts in options:
-        count *= len(opts)
-        if count > SUPPORT_GUARD:
-            raise SizeGuardError("rounding support too large to enumerate")
+    if prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
+        raise SizeGuardError("rounding support too large to enumerate")
     support = []
 
     def build(i, prob, chosen):
@@ -570,13 +567,12 @@ def rt_rule(inst: FlowInstance, epsilon) -> AllocationRule:
 
     return AllocationRule(
         domain="flow",
-        allocate=lambda bids, seed=None: rt_round(relax(bids), inst, epsilon, seed),
         exact=False,
         randomized=True,
-        support=lambda bids: rt_support(relax(bids), inst, epsilon),
         opt_welfare=lambda values: greedy_fractional_flow(inst, values)[1],
         relax=relax,
         round_stage=lambda relaxed, seed: rt_round(relaxed, inst, epsilon, seed),
+        round_support=lambda relaxed: rt_support(relaxed, inst, epsilon),
         name="flow-rt",
     )
 

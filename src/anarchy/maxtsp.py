@@ -10,10 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 from random import Random
 
 from .errors import InfeasibleMatchingError, SizeGuardError, StructuralError
 from .mechanism import (
+    EXACT_SUPPORT_LIMIT,
     AllocationRule,
     CostCertificate,
     Valuation,
@@ -23,7 +25,6 @@ from .solvers import WeightMatrix, max_weight_perfect_matching
 
 BRUTE_FORCE_VERTEX_LIMIT = 7  # derangement scans stay below 7! permutations
 HALF_EDGE_VERTEX_LIMIT = 6
-SUPPORT_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -290,11 +291,8 @@ def fisher_round(cover: CycleCover, g: CompleteDigraph, seed) -> HamiltonianCycl
 def fisher_support(cover: CycleCover, g: CompleteDigraph) -> list:
     """Exact (probability, tour) support of fisher_round, merged and sorted."""
     cycles = cover.cycles()
-    count = 1
-    for cyc in cycles:
-        count *= len(cyc)
-        if count > SUPPORT_GUARD:
-            raise SizeGuardError("too many drop combinations to enumerate")
+    if prod(len(cyc) for cyc in cycles) > EXACT_SUPPORT_LIMIT:
+        raise SizeGuardError("too many drop combinations to enumerate")
     acc = {}
 
     def build(i, prob, paths):
@@ -545,13 +543,12 @@ def fisher_rule(g: CompleteDigraph) -> AllocationRule:
 
     return AllocationRule(
         domain="maxtsp",
-        allocate=lambda bids, seed=None: fisher_round(relax(bids), g, seed),
         exact=False,
         randomized=True,
-        support=lambda bids: fisher_support(relax(bids), g),
         opt_welfare=lambda values: max_weight_cycle_cover(g, values)[1],
         relax=relax,
         round_stage=lambda relaxed, seed: fisher_round(relaxed, g, seed),
+        round_support=lambda relaxed: fisher_support(relaxed, g),
         name="maxtsp-fisher",
     )
 

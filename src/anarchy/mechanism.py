@@ -21,18 +21,19 @@ oblivious rounding with a per-player 1/alpha expectation guarantee.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .errors import StructuralError
+from .errors import SizeGuardError, StructuralError
 from .rationals import F0, F1, HALF, frac, frac_str
 
 GENERAL = "general"
 HALF_VALUE = "half-value"
 
-# Above this support size, expectations fall back to seeded sampling.
+# Largest support the enumerators build; beyond it expectations are sampled.
 EXACT_SUPPORT_LIMIT = 10_000
 
 
@@ -106,19 +107,66 @@ class AllocationRule:
     randomness can be enumerated. exact marks exact declared-welfare
     maximizers over the rule's own outcome space (their optimum at truthful
     bids serves as OPT). opt_welfare overrides the OPT oracle, e.g. with a
-    relaxation optimum for a rounding-composed rule. relax/round_stage split
-    the rule for callers that want to cache the deterministic stage.
+    relaxation optimum for a rounding-composed rule. Randomized rules declare
+    relax(bids), round_stage(relaxed, seed) and round_support(relaxed) instead:
+    rounding never reads the bids, so allocate and support are derived.
     """
 
     domain: str
-    allocate: Callable
+    allocate: Optional[Callable] = None
     exact: bool = False
     randomized: bool = False
     support: Optional[Callable] = None
     opt_welfare: Optional[Callable] = None
     relax: Optional[Callable] = None
     round_stage: Optional[Callable] = None
+    round_support: Optional[Callable] = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.allocate is None:
+            self.allocate = lambda bids, seed=None: self.round_stage(
+                self.relax(bids), seed
+            )
+        if self.support is None and self.round_support is not None:
+            self.support = lambda bids: self.round_support(self.relax(bids))
+
+
+class RelaxationCache:
+    """One relaxation per distinct bid profile, shared by every caller.
+
+    Counterfactual re-runs and deviation checks revisit the same joint bid
+    profile constantly; a rule exposing relax/round_stage pays one relaxation
+    solve per distinct profile, one rounding draw per (profile, seed) and,
+    with round_support, one support enumeration per profile.
+    """
+
+    def __init__(self, rule: AllocationRule):
+        self.rule = rule
+        self.relaxed = {}
+        self.supports = {}
+
+    def _relax(self, bids):
+        relaxed = self.relaxed.get(bids)
+        if relaxed is None:
+            relaxed = self.relaxed[bids] = self.rule.relax(bids)
+        return relaxed
+
+    def outcome(self, bids, seed):
+        if self.rule.relax is None or self.rule.round_stage is None:
+            return self.rule.allocate(bids, seed)
+        return self.rule.round_stage(self._relax(bids), seed)
+
+    def support(self, bids):
+        """Exact support at bids, None without one; SizeGuardError if too large."""
+        if bids not in self.supports:
+            rule = self.rule
+            if rule.relax is not None and rule.round_support is not None:
+                out = rule.round_support(self._relax(bids))
+            else:
+                out = None if rule.support is None else rule.support(bids)
+            self.supports[bids] = out
+        return self.supports[bids]
 
 
 @dataclass(frozen=True)
@@ -167,13 +215,15 @@ def run_pay_your_bid(
 
 
 def expected_run(
-    rule: AllocationRule, bids, values, samples: int = 10_000, seed: int = 0
+    rule: AllocationRule, bids, values, samples: int = 10_000, seed: int = 0,
+    *, cache: Optional[RelaxationCache] = None,
 ) -> ExpectedRun:
     """Expected payments/utilities/welfare over the rule's randomness.
 
-    Exact enumeration whenever the rule exposes a support of at most
-    EXACT_SUPPORT_LIMIT outcomes; otherwise seeded Monte Carlo with the given
-    sample count, flagged as non-exact.
+    Exact enumeration whenever the rule exposes a support its enumerator
+    accepts (at most EXACT_SUPPORT_LIMIT outcomes); otherwise seeded Monte
+    Carlo with the given sample count, flagged as non-exact. cache shares
+    relaxations and supports across calls; by default the call relaxes once.
     """
     _check_profile(rule, bids, values)
     n = len(bids)
@@ -181,33 +231,29 @@ def expected_run(
         run = run_pay_your_bid(rule, bids, values, None)
         return ExpectedRun(run.payments, run.utilities, run.welfare, True)
 
-    if rule.support is not None:
-        outcomes = rule.support(bids)
-        if len(outcomes) <= EXACT_SUPPORT_LIMIT:
-            total_p = sum(p for p, _ in outcomes)
-            if total_p != 1:
-                raise StructuralError("support probabilities must sum to 1")
-            payments = [F0] * n
-            gross = [F0] * n
-            for p, outcome in outcomes:
-                for i in range(n):
-                    payments[i] += p * bids[i].value(outcome)
-                    gross[i] += p * values[i].value(outcome)
-            utilities = tuple(g - q for g, q in zip(gross, payments))
-            return ExpectedRun(tuple(payments), utilities, sum(gross, F0), True)
-
-    rng = Random(seed)
+    bids = tuple(bids)
+    cache = cache or RelaxationCache(rule)
+    try:
+        outcomes = cache.support(bids)
+    except SizeGuardError:  # too large to enumerate: sample instead
+        outcomes = None
+    exact = outcomes is not None
+    if exact:
+        if sum(p for p, _ in outcomes) != 1:
+            raise StructuralError("support probabilities must sum to 1")
+    else:
+        rng = Random(seed)
+        seeds = (rng.getrandbits(63) for _ in range(samples))
+        draws = Counter(cache.outcome(bids, s) for s in seeds)
+        outcomes = [(Fraction(k, samples), outcome) for outcome, k in draws.items()]
     payments = [F0] * n
     gross = [F0] * n
-    for _ in range(samples):
-        outcome = rule.allocate(bids, rng.getrandbits(63))
+    for p, outcome in outcomes:
         for i in range(n):
-            payments[i] += bids[i].value(outcome)
-            gross[i] += values[i].value(outcome)
-    payments = tuple(p / samples for p in payments)
-    gross = tuple(g / samples for g in gross)
+            payments[i] += p * bids[i].value(outcome)
+            gross[i] += p * values[i].value(outcome)
     utilities = tuple(g - q for g, q in zip(gross, payments))
-    return ExpectedRun(payments, utilities, sum(gross, F0), False)
+    return ExpectedRun(tuple(payments), utilities, sum(gross, F0), exact)
 
 
 def opt_welfare(rule: AllocationRule, values) -> Fraction:
@@ -278,37 +324,39 @@ def check_smoothness(
     candidate among the player's bids occurring anywhere in the bid grid
     plus the half-value bid. Returns the minimum slack (lhs - rhs) and a
     witness profile when the inequality fails somewhere.
+
+    The call shares one RelaxationCache, so each distinct bid profile is
+    relaxed once, and evaluates each distinct bid profile's expected run once
+    per valuation profile.
     """
+    cache = RelaxationCache(rule)
     min_slack = None
     witness = None
     statistical = False
     checked = 0
     for vi, values in enumerate(value_grid):
         opt = opt_welfare(rule, values)
-        n = len(values)
+        runs = {}
+
+        def evaluate(bids):
+            if bids not in runs:
+                runs[bids] = expected_run(
+                    rule, bids, values, samples, seed, cache=cache
+                )
+            return runs[bids]
+
+        searched = bid_grid if params.deviation == GENERAL else ()
+        candidates = [
+            list(dict.fromkeys([v.scale(HALF)] + [p[i] for p in searched]))
+            for i, v in enumerate(values)
+        ]
         for bi, bids in enumerate(bid_grid):
-            base = expected_run(rule, bids, values, samples, seed)
-            statistical |= not base.exact
+            bids = tuple(bids)
             lhs = F0
-            for i in range(n):
-                if params.deviation == HALF_VALUE:
-                    candidates = [values[i].scale(HALF)]
-                else:
-                    candidates = [values[i].scale(HALF)]
-                    seen = {candidates[0]}
-                    for profile in bid_grid:
-                        if profile[i] not in seen:
-                            seen.add(profile[i])
-                            candidates.append(profile[i])
-                best = None
-                for dev in candidates:
-                    dev_bids = tuple(bids[:i]) + (dev,) + tuple(bids[i + 1 :])
-                    run = expected_run(rule, dev_bids, values, samples, seed)
-                    statistical |= not run.exact
-                    if best is None or run.utilities[i] > best:
-                        best = run.utilities[i]
-                lhs += best
-            rhs = params.lam * opt - params.mu * sum(base.payments, F0)
+            for i, row in enumerate(candidates):
+                deviations = (bids[:i] + (dev,) + bids[i + 1 :] for dev in row)
+                lhs += max(evaluate(dev_bids).utilities[i] for dev_bids in deviations)
+            rhs = params.lam * opt - params.mu * sum(evaluate(bids).payments, F0)
             slack = lhs - rhs
             checked += 1
             if min_slack is None or slack < min_slack:
@@ -320,6 +368,7 @@ def check_smoothness(
                         "lhs": lhs,
                         "rhs": rhs,
                     }
+        statistical |= not all(run.exact for run in runs.values())
     if min_slack is None:
         raise StructuralError("empty grid: nothing to check")
     return SmoothnessCertificate(
@@ -403,14 +452,15 @@ def verify_pure_nash(
     found, floored at zero, so equilibria report max_regret == 0 exactly.
     """
     _check_profile(rule, bids, values)
-    base = expected_run(rule, bids, values, samples, seed)
+    cache = RelaxationCache(rule)
+    base = expected_run(rule, bids, values, samples, seed, cache=cache)
     statistical = not base.exact
     max_regret = F0
     witness = None
     for i, cand in enumerate(deviations):
         for d, dev in enumerate(cand):
             dev_bids = tuple(bids[:i]) + (dev,) + tuple(bids[i + 1 :])
-            run = expected_run(rule, dev_bids, values, samples, seed)
+            run = expected_run(rule, dev_bids, values, samples, seed, cache=cache)
             statistical |= not run.exact
             gain = run.utilities[i] - base.utilities[i]
             if gain > max_regret:

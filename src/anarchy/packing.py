@@ -386,7 +386,6 @@ def check_pip_social_cost(inst: PackingInstance, bids, xbar) -> CostCertificate:
     d = column_sparsity(inst)
     _, full = solve_packing_lp(inst, bids)
     lhs = F0
-    terms = []
     for i in range(inst.n):
         load = [
             sum((inst.rows[l][i][k] * xbar[i][k] for k in range(inst.K)), F0)
@@ -400,7 +399,6 @@ def check_pip_social_cost(inst: PackingInstance, bids, xbar) -> CostCertificate:
             tuple(c - dl for c, dl in zip(inst.capacities, load)),
         )
         lhs += without - reduced
-        terms.append(without - reduced)
     rhs = (d + 1) * full
     return CostCertificate(lhs <= rhs, lhs, rhs, {"d": d, "welfare": full})
 

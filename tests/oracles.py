@@ -177,3 +177,72 @@ def best_integral_packing(b, A, c):
             best = value
             best_choices = choices
     return best_choices, best
+
+
+def _frac_text(x):
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def smoothness_by_support(rule, value_grid, bid_grid, lam, mu, deviation):
+    """Smoothness check straight from the definition, as a to_dict() payload.
+
+    Every expectation comes from a fresh rule.support(bids): no cache, no
+    memo, deviation candidates rebuilt for every (profile, player). OPT is
+    the rule's own opt_welfare oracle. deviation is "general" (best of the
+    half-value bid and the player's bids anywhere in the grid) or
+    "half-value" (the half-value bid alone).
+    """
+    half = Fraction(1, 2)
+
+    def utility_and_payments(bids, values):
+        pay = [F0] * len(bids)
+        util = [F0] * len(bids)
+        for p, outcome in rule.support(bids):
+            for j, (b, v) in enumerate(zip(bids, values)):
+                pay[j] += p * b.value(outcome)
+                util[j] += p * (v.value(outcome) - b.value(outcome))
+        return util, pay
+
+    min_slack = None
+    witness = None
+    checked = 0
+    for vi, values in enumerate(value_grid):
+        opt = rule.opt_welfare(values)
+        for bi, bids in enumerate(bid_grid):
+            bids = tuple(bids)
+            _, pay = utility_and_payments(bids, values)
+            lhs = F0
+            for i in range(len(values)):
+                candidates = [values[i].scale(half)]
+                if deviation == "general":
+                    for profile in bid_grid:
+                        if profile[i] not in candidates:
+                            candidates.append(profile[i])
+                lhs += max(
+                    utility_and_payments(bids[:i] + (c,) + bids[i + 1 :], values)[0][i]
+                    for c in candidates
+                )
+            rhs = lam * opt - mu * sum(pay, F0)
+            checked += 1
+            if min_slack is None or lhs - rhs < min_slack:
+                min_slack = lhs - rhs
+                if min_slack < 0:
+                    witness = {
+                        "values_index": vi,
+                        "bids_index": bi,
+                        "lhs": _frac_text(lhs),
+                        "rhs": _frac_text(rhs),
+                    }
+    return {
+        "domain": rule.domain,
+        "lambda": _frac_text(lam),
+        "mu": _frac_text(mu),
+        "deviation_mode": deviation,
+        "grid": f"{len(value_grid)} valuation profiles x {len(bid_grid)} bid profiles",
+        "verdict": "holds" if min_slack >= 0 else "violated",
+        "statistical": False,
+        "slack": _frac_text(min_slack),
+        "witness": witness,
+        "checked": checked,
+    }

@@ -64,6 +64,16 @@ def test_paper_table_runs_quickly():
     assert len(rows) == 14
 
 
+def test_paper_table_rows_time_themselves():
+    import time
+
+    t0 = time.monotonic()
+    rows = cmd_paper_table(ExperimentConfig("auctions", "paper-table"))
+    elapsed_ms = (time.monotonic() - t0) * 1000
+    # cumulative stamps would sum to several times the elapsed time
+    assert sum(r.wall_ms for r in rows) <= elapsed_ms
+
+
 # -------------------------------------------------------------- exit codes
 
 

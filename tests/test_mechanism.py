@@ -1,12 +1,15 @@
 """Pay-your-bid mechanics, smoothness calculus, Nash verification."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from anarchy.errors import StructuralError
+from anarchy.auctions import SymmetricValuation, fair_rule, gen_symmetric_instances
+from anarchy.errors import SizeGuardError, StructuralError
+from anarchy.flows import gen_flow_instances, rt_rule, truthful_flow_bids
+from anarchy.maxtsp import fisher_rule, gen_digraphs, truthful_edge_bids
 from anarchy.mechanism import (
     GENERAL,
     HALF_VALUE,
@@ -22,6 +25,7 @@ from anarchy.mechanism import (
     verify_pure_nash,
 )
 from anarchy.rationals import F0, F1, frac
+from oracles import smoothness_by_support
 
 H = Fraction(1, 2)
 
@@ -289,3 +293,100 @@ def test_scaled_bid_profiles_cover_product():
     profiles = scaled_bid_profiles(values, theta_grid(2))
     assert len(profiles) == 9
     assert all(p[0].player == 0 and p[1].player == 1 for p in profiles)
+
+
+# ---------------------------------------------------------- relaxation cache
+
+
+def _small_relax_and_round_cases():
+    """(rule, value grid, bid grid) on seeded fair, rt and fisher instances."""
+    cases = []
+    for m, values in gen_symmetric_instances(6, 91, max_players=3, max_items=3):
+        halves = tuple(v.scale(H) for v in values)
+        bids = scaled_bid_profiles(values, theta_grid(2))
+        cases.append((fair_rule(m), [values, halves], bids))
+    for inst in gen_flow_instances(3, 92, max_vertices=6, max_players=3):
+        values = truthful_flow_bids(inst)
+        bids = scaled_bid_profiles(values, theta_grid(2))
+        cases.append((rt_rule(inst, Fraction(1, 10)), [values], bids))
+    rng = Random(93)
+    for g in gen_digraphs(2, 93, sizes=(3,)):
+        values = truthful_edge_bids(g)
+        bids = [
+            tuple(v.scale(rng.choice(theta_grid(2))) for v in values) for _ in range(5)
+        ]
+        cases.append((fisher_rule(g), [values], bids))
+    return cases
+
+
+def _counting_relax(rule):
+    """The rule with relax wrapped to log every bid profile it relaxes."""
+    relaxed = []
+    inner = rule.relax
+
+    def relax(bids):
+        relaxed.append(tuple(bids))
+        return inner(bids)
+
+    # allocate and support are re-derived from the counting relax
+    return replace(rule, relax=relax, allocate=None, support=None), relaxed
+
+
+@pytest.mark.parametrize("mode", [GENERAL, HALF_VALUE])
+def test_check_smoothness_matches_uncached_reference(mode):
+    violated = 0
+    for rule, value_grid, bid_grid in _small_relax_and_round_cases():
+        for lam, mu in ((Fraction(1, 32), 2), (F1, F0)):
+            params = SmoothnessParams(lam, mu, mode)
+            cert = check_smoothness(rule, value_grid, bid_grid, params)
+            assert cert.to_dict() == smoothness_by_support(
+                rule, value_grid, bid_grid, params.lam, params.mu, mode
+            )
+            violated += not cert.holds
+    assert violated  # the witness path is compared too
+
+
+def test_check_smoothness_relaxes_each_profile_once():
+    for rule, value_grid, bid_grid in _small_relax_and_round_cases():
+        counted, relaxed = _counting_relax(rule)
+        check_smoothness(counted, value_grid, bid_grid, SmoothnessParams(H, 1, GENERAL))
+        profiles = set()
+        for values in value_grid:
+            for bids in bid_grid:
+                for i in range(len(bids)):
+                    for dev in [values[i].scale(H)] + [p[i] for p in bid_grid]:
+                        profiles.add(tuple(bids[:i]) + (dev,) + tuple(bids[i + 1 :]))
+        assert len(relaxed) == len(set(relaxed))
+        assert set(relaxed) == profiles
+
+
+def test_verify_pure_nash_relaxes_each_profile_once():
+    for rule, value_grid, bid_grid in _small_relax_and_round_cases():
+        counted, relaxed = _counting_relax(rule)
+        values, bids = value_grid[0], tuple(bid_grid[0])
+        # every player's deviations repeat its own current bid
+        grids = [[b, v, v.scale(H), b] for b, v in zip(bids, values)]
+        cert = verify_pure_nash(counted, bids, values, grids)
+        assert cert == verify_pure_nash(rule, bids, values, grids)
+        profiles = {
+            bids[:i] + (dev,) + bids[i + 1 :]
+            for i, row in enumerate(grids)
+            for dev in row
+        }
+        assert len(relaxed) == len(set(relaxed))
+        assert set(relaxed) == profiles
+
+
+def test_expected_run_samples_when_support_is_too_large():
+    # 14 unit bidders: the fair-rounding support exceeds the enumeration limit
+    m = 14
+    values = tuple(SymmetricValuation(i, (0,) + (1,) * m) for i in range(m))
+    counted, relaxed = _counting_relax(fair_rule(m))
+    with pytest.raises(SizeGuardError):
+        counted.support(values)
+    relaxed.clear()
+    first = expected_run(counted, values, values, samples=300, seed=4)
+    assert first.exact is False
+    assert len(relaxed) == 1  # the support attempt and the draws share it
+    assert first == expected_run(counted, values, values, samples=300, seed=4)
+    assert 0 < first.welfare <= m
