@@ -10,17 +10,17 @@ packing program.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb, prod
+from itertools import combinations
+from math import comb
 from random import Random
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import (
-    EXACT_SUPPORT_LIMIT,
     AllocationRule,
     CostCertificate,
     Counterexample,
     Valuation,
+    product_support,
 )
 from .packing import (
     OptionValuation,
@@ -28,7 +28,7 @@ from .packing import (
     solve_packing_integral,
     solve_packing_lp,
 )
-from .rationals import F0, F1, frac, frac_str, parse_frac, weighted_index
+from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, weighted_index
 from .solvers import LinearProgram, solve_lp
 
 ITEM_LIMIT = 10  # subset enumeration guard for the configuration LP
@@ -501,19 +501,12 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
         raise StructuralError("solution was computed for a different supply")
     acc = {}
     for coin in (0, 1):
-        q = _halved(xbar, coin)
-        options = [_size_options(row) for row in q]
-        if prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
-            raise SizeGuardError("rounding support too large to enumerate")
-        for combo in product(*options):
-            prob = Fraction(1, 2)
-            for p, _ in combo:
-                prob *= p
+        options = [_size_options(row) for row in _halved(xbar, coin)]
+        for prob, draws in product_support(options):
             if prob == 0:
                 continue
-            draws = tuple(j for _, j in combo)
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
-            acc[outcome] = acc.get(outcome, F0) + prob
+            acc[outcome] = acc.get(outcome, F0) + HALF * prob
     return sorted(acc.items(), key=lambda kv: kv[0])
 
 

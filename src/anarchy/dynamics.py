@@ -9,7 +9,7 @@ welfare guarantee, so the grids are required to contain it.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import exp, frexp, ldexp, log, sqrt
 from random import Random
 from typing import Optional
 
@@ -19,6 +19,9 @@ from .mechanism import poa_from_smoothness
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 
 SEED_SPAN = 2**63
+# Hedge rescales a player's weights by a power of two, which is exact and so
+# leaves every pick unchanged, once their largest leaves this range.
+WEIGHT_RANGE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -253,6 +256,10 @@ def run_hedge(
                 cumulative[i][s] += u
                 if bounds[i] > 0:
                     weights[i][s] *= exp(eta * float(u / bounds[i]))
+            top = max(weights[i])
+            if not WEIGHT_RANGE[0] <= top <= WEIGHT_RANGE[1]:
+                shift = frexp(top)[1]
+                weights[i] = [ldexp(w, -shift) for w in weights[i]]
         rounds.append(
             RoundRecord(
                 theta=tuple(grid.thetas[i][picks[i]] for i in range(n)),

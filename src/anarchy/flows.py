@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -29,9 +28,9 @@ from .errors import (
     SizeGuardError,
     StructuralError,
 )
-from .mechanism import EXACT_SUPPORT_LIMIT, AllocationRule, Counterexample, Valuation
+from .mechanism import AllocationRule, Counterexample, Valuation, product_support
 from .rationals import F0, F1, bernoulli, frac, frac_str, parse_frac, weighted_index
-from .solvers import CapacitatedDigraph, LinearProgram, max_flow, solve_lp
+from .solvers import CapacitatedDigraph, LinearProgram, Residual, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
@@ -180,61 +179,6 @@ def _check_flow_bids(inst: FlowInstance, bids) -> None:
             raise StructuralError(f"bid {i} does not fit the instance")
 
 
-class _Residual:
-    """Arc-paired residual network shared across sequential augmentations."""
-
-    def __init__(self, graph: CapacitatedDigraph):
-        self.num_vertices = graph.num_vertices
-        self.head = [[] for _ in range(graph.num_vertices)]
-        self.to = []
-        self.cap = []
-        for u, v, c in graph.edges:
-            self.head[u].append(len(self.to))
-            self.to.append(v)
-            self.cap.append(c)
-            self.head[v].append(len(self.to))
-            self.to.append(u)
-            self.cap.append(F0)
-
-    def push(self, s: int, t: int, limit: Fraction) -> Fraction:
-        """Augment s->t by up to limit units; returns the amount pushed."""
-        pushed = F0
-        while pushed < limit:
-            prev = [-1] * self.num_vertices
-            prev[s] = -2
-            queue = [s]
-            qi = 0
-            reached = False
-            while qi < len(queue) and not reached:
-                u = queue[qi]
-                qi += 1
-                for a in self.head[u]:
-                    w = self.to[a]
-                    if self.cap[a] > 0 and prev[w] == -1:
-                        prev[w] = a
-                        if w == t:
-                            reached = True
-                            break
-                        queue.append(w)
-            if not reached:
-                break
-            bottleneck = limit - pushed
-            w = t
-            while w != s:
-                a = prev[w]
-                if self.cap[a] < bottleneck:
-                    bottleneck = self.cap[a]
-                w = self.to[a ^ 1]
-            w = t
-            while w != s:
-                a = prev[w]
-                self.cap[a] -= bottleneck
-                self.cap[a ^ 1] += bottleneck
-                w = self.to[a ^ 1]
-            pushed += bottleneck
-        return pushed
-
-
 def _cancel_cycles(num_vertices, heads, tails, f):
     """Remove directed flow cycles in place (f indexed like the edge list)."""
     while True:
@@ -277,6 +221,36 @@ def _cancel_cycles(num_vertices, heads, tails, f):
             f[e] -= delta
 
 
+def _peel_paths(inst: FlowInstance, edge_flows):
+    """Cancel the flow's cycles, then peel source paths off the rest.
+
+    Yields (edge path, end vertex, amount) until nothing leaves the source;
+    each walk follows the lowest-index edge still carrying flow.
+    """
+    edges = inst.graph.edges
+    tails = [e[0] for e in edges]
+    heads = [e[1] for e in edges]
+    f = list(edge_flows)
+    _cancel_cycles(inst.graph.num_vertices, heads, tails, f)
+    out = [[] for _ in range(inst.graph.num_vertices)]
+    for e in range(len(edges)):
+        if f[e] > 0:
+            out[tails[e]].append(e)
+    while out[inst.source]:
+        path = []
+        v = inst.source
+        while out[v]:
+            e = out[v][0]
+            path.append(e)
+            v = heads[e]
+        amount = min(f[e] for e in path)
+        yield tuple(path), v, amount
+        for e in path:
+            f[e] -= amount
+            if f[e] == 0:
+                out[tails[e]].remove(e)
+
+
 def greedy_fractional_flow(inst: FlowInstance, bids):
     """Serve players in decreasing bid density over one shared residual net.
 
@@ -290,40 +264,22 @@ def greedy_fractional_flow(inst: FlowInstance, bids):
         range(n),
         key=lambda i: (-(bids[i].amount / inst.requests[i].demand), i),
     )
-    res = _Residual(inst.graph)
+    res = Residual(inst.graph)
     routed = [F0] * n
     for i in order:
         r = inst.requests[i]
         routed[i] = res.push(inst.source, r.sink, r.demand)
 
-    edges = inst.graph.edges
-    f = [edges[e][2] - res.cap[2 * e] for e in range(len(edges))]
-    tails = [e[0] for e in edges]
-    heads = [e[1] for e in edges]
-    _cancel_cycles(inst.graph.num_vertices, heads, tails, f)
-
-    # peel source->sink paths off the acyclic aggregate and hand each one to
-    # the smallest-index player at its endpoint with delivery still unassigned
+    # hand each peeled path to the smallest-index players at its endpoint
+    # whose delivery is still unassigned
     remaining = list(routed)
     by_sink = {}
     for i, r in enumerate(inst.requests):
         by_sink.setdefault(r.sink, []).append(i)
-    per_player = [[F0] * len(edges) for _ in range(n)]
-    out = [[] for _ in range(inst.graph.num_vertices)]
-    for e in range(len(edges)):
-        if f[e] > 0:
-            out[tails[e]].append(e)
-    while out[inst.source]:
-        path = []
-        v = inst.source
-        while out[v]:
-            e = out[v][0]
-            path.append(e)
-            v = heads[e]
-        amount = min(f[e] for e in path)
-        takers = by_sink.get(v, [])
+    per_player = [[F0] * len(inst.graph.edges) for _ in range(n)]
+    for path, end, amount in _peel_paths(inst, res.edge_flows()):
         left = amount
-        for i in takers:
+        for i in by_sink.get(end, []):
             if left == 0:
                 break
             take = min(left, remaining[i])
@@ -333,10 +289,6 @@ def greedy_fractional_flow(inst: FlowInstance, bids):
                 for e in path:
                     per_player[i][e] += take
         assert left == 0, "peeled flow exceeds the recorded deliveries"
-        for e in path:
-            f[e] -= amount
-            if f[e] == 0:
-                out[tails[e]].remove(e)
 
     flow = FractionalFlow(
         inst,
@@ -382,31 +334,11 @@ def flow_decompose(flow: FractionalFlow, player: int):
     to r_i and at most |E| paths are returned.
     """
     inst = flow.instance
-    edges = inst.graph.edges
-    tails = [e[0] for e in edges]
-    heads = [e[1] for e in edges]
-    f = list(flow.edge_flows[player])
-    _cancel_cycles(inst.graph.num_vertices, heads, tails, f)
-    out = [[] for _ in range(inst.graph.num_vertices)]
-    for e in range(len(edges)):
-        if f[e] > 0:
-            out[tails[e]].append(e)
     result = []
-    while out[inst.source]:
-        path = []
-        v = inst.source
-        while out[v]:
-            e = out[v][0]
-            path.append(e)
-            v = heads[e]
-        if v != inst.requests[player].sink:
+    for path, end, amount in _peel_paths(inst, flow.edge_flows[player]):
+        if end != inst.requests[player].sink:
             raise StructuralError("player flow ends away from its sink")
-        amount = min(f[e] for e in path)
-        result.append((tuple(path), amount))
-        for e in path:
-            f[e] -= amount
-            if f[e] == 0:
-                out[tails[e]].remove(e)
+        result.append((path, amount))
     return result
 
 
@@ -534,19 +466,10 @@ def rt_support(flow: FractionalFlow, inst: FlowInstance, epsilon):
             for path, amt in flow_decompose(flow, i):
                 opts.append((amt / ((1 + epsilon) * req.demand), path))
         options.append([(p, c) for p, c in opts if p > 0])
-    if prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
-        raise SizeGuardError("rounding support too large to enumerate")
-    support = []
-
-    def build(i, prob, chosen):
-        if i == len(options):
-            support.append((prob, _alter_to_feasible(inst, flow, list(chosen))))
-            return
-        for p, c in options[i]:
-            build(i + 1, prob * p, chosen + [c])
-
-    build(0, F1, [])
-    return support
+    return [
+        (p, _alter_to_feasible(inst, flow, chosen))
+        for p, chosen in product_support(options)
+    ]
 
 
 def fractional_rule(inst: FlowInstance) -> AllocationRule:

@@ -10,16 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
 from random import Random
 
-from .errors import InfeasibleMatchingError, SizeGuardError, StructuralError
-from .mechanism import (
-    EXACT_SUPPORT_LIMIT,
-    AllocationRule,
-    CostCertificate,
-    Valuation,
-)
+from .errors import SizeGuardError, StructuralError
+from .mechanism import AllocationRule, CostCertificate, Valuation, product_support
 from .rationals import F0, F1, frac, frac_str, parse_frac
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
@@ -226,47 +220,29 @@ def _derangements(n: int) -> tuple:
 def max_weight_cycle_cover(g: CompleteDigraph, bids=None):
     """Exact maximum-weight cycle cover, (cover, weight).
 
-    Solved as a perfect matching between out-copies and in-copies with the
-    diagonal forbidden. Ties break to the lexicographically smallest
-    successor tuple, enforced by re-solving with successive prefixes pinned.
+    Solved as one perfect matching between out-copies and in-copies with the
+    diagonal forbidden. The matcher returns the lexicographically smallest
+    maximizing permutation, which is the successor tuple, so ties break to
+    the lexicographically smallest successor tuple.
     """
     wf = _bid_weight(g, bids)
     n = g.num_vertices
+    entries = [[None if u == v else wf(u, v) for v in range(n)] for u in range(n)]
+    succ, total = max_weight_perfect_matching(WeightMatrix(entries))
+    return CycleCover(succ), total
 
-    def solve(pins):
-        entries = []
-        for u in range(n):
-            row = []
-            for v in range(n):
-                if u == v or (u in pins and pins[u] != v) or (
-                    u not in pins and v in pins.values()
-                ):
-                    row.append(None)
-                else:
-                    row.append(wf(u, v))
-            entries.append(row)
-        perm, total = max_weight_perfect_matching(WeightMatrix(entries))
-        return tuple(perm), total
 
-    _, best = solve({})
-    pins = {}
-    for u in range(n):
-        for v in range(n):
-            if v == u or v in pins.values():
-                continue
-            pins[u] = v
-            try:
-                _, total = solve(pins)
-            except InfeasibleMatchingError:
-                del pins[u]
-                continue
-            if total == best:
-                break
-            del pins[u]
-        else:
-            raise StructuralError("no successor keeps the cover optimal")
-    cover = CycleCover(tuple(pins[u] for u in range(n)))
-    return cover, best
+def _drop_options(cover: CycleCover) -> list:
+    """Per cycle, the paths left by dropping each of its edges in turn."""
+    return [
+        [cyc[drop + 1 :] + cyc[: drop + 1] for drop in range(len(cyc))]
+        for cyc in cover.cycles()
+    ]
+
+
+def _chain(paths) -> HamiltonianCycle:
+    """Paths ordered by start vertex, appended start-to-end into one tour."""
+    return HamiltonianCycle([v for p in sorted(paths, key=lambda p: p[0]) for v in p])
 
 
 def fisher_round(cover: CycleCover, g: CompleteDigraph, seed) -> HamiltonianCycle:
@@ -279,34 +255,19 @@ def fisher_round(cover: CycleCover, g: CompleteDigraph, seed) -> HamiltonianCycl
     if cover.n != g.num_vertices:
         raise StructuralError("cover size does not match the graph")
     rng = Random(seed)
-    paths = []
-    for cyc in cover.cycles():
-        drop = rng.randrange(len(cyc))
-        paths.append(tuple(cyc[(drop + 1 + t) % len(cyc)] for t in range(len(cyc))))
-    paths.sort(key=lambda p: p[0])
-    order = [v for p in paths for v in p]
-    return HamiltonianCycle(order)
+    return _chain([paths[rng.randrange(len(paths))] for paths in _drop_options(cover)])
 
 
 def fisher_support(cover: CycleCover, g: CompleteDigraph) -> list:
     """Exact (probability, tour) support of fisher_round, merged and sorted."""
-    cycles = cover.cycles()
-    if prod(len(cyc) for cyc in cycles) > EXACT_SUPPORT_LIMIT:
-        raise SizeGuardError("too many drop combinations to enumerate")
+    options = [
+        [(Fraction(1, len(paths)), path) for path in paths]
+        for paths in _drop_options(cover)
+    ]
     acc = {}
-
-    def build(i, prob, paths):
-        if i == len(cycles):
-            ordered = sorted(paths, key=lambda p: p[0])
-            tour = HamiltonianCycle([v for p in ordered for v in p])
-            acc[tour] = acc.get(tour, F0) + prob
-            return
-        cyc = cycles[i]
-        for drop in range(len(cyc)):
-            path = tuple(cyc[(drop + 1 + t) % len(cyc)] for t in range(len(cyc)))
-            build(i + 1, prob * Fraction(1, len(cyc)), paths + [path])
-
-    build(0, F1, [])
+    for prob, paths in product_support(options):
+        tour = _chain(paths)
+        acc[tour] = acc.get(tour, F0) + prob
     return [(p, tour) for tour, p in sorted(acc.items(), key=lambda kv: kv[0].order)]
 
 

@@ -21,6 +21,7 @@ oblivious rounding with a per-player 1/alpha expectation guarantee.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +36,24 @@ HALF_VALUE = "half-value"
 
 # Largest support the enumerators build; beyond it expectations are sampled.
 EXACT_SUPPORT_LIMIT = 10_000
+
+
+def product_support(options) -> list:
+    """Joint (probability, choices) of independent draws, in product order.
+
+    options[k] lists the (probability, choice) pairs of the k-th draw. This
+    is the one size guard of the support enumerators: more than
+    EXACT_SUPPORT_LIMIT combinations raise SizeGuardError before any is built.
+    """
+    if math.prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
+        raise SizeGuardError("rounding support too large to enumerate")
+    out = []
+    for combo in itertools.product(*options):
+        prob = F1
+        for p, _ in combo:
+            prob *= p
+        out.append((prob, tuple(c for _, c in combo)))
+    return out
 
 
 class Valuation:

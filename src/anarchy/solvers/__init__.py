@@ -1,6 +1,6 @@
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, solve_lp
 from .matching import WeightMatrix, max_weight_perfect_matching
-from .maxflow import CapacitatedDigraph, MaxFlowResult, max_flow
+from .maxflow import CapacitatedDigraph, MaxFlowResult, Residual, max_flow
 
 __all__ = [
     "LinearProgram",
@@ -13,5 +13,6 @@ __all__ = [
     "max_weight_perfect_matching",
     "CapacitatedDigraph",
     "MaxFlowResult",
+    "Residual",
     "max_flow",
 ]

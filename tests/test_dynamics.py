@@ -166,6 +166,27 @@ def test_hedge_validation():
         run_hedge(rule, values, grid, 5, initial_weights=[[1.0, 0.0]])
 
 
+def test_hedge_weights_do_not_overflow():
+    # at eta = 1 the unscaled weights of player 1 pass the float range
+    # within 2000 rounds; play must keep following its best multiplier 1/2
+    values = (SymmetricValuation(0, (0, 1)), SymmetricValuation(1, (0, 2)))
+    grid = StrategyGrid.uniform(2, 4)
+    trace = run_hedge(first_price_rule(2), values, grid, 2000, eta=1.0, seed=0)
+    tail = [r.theta[1] for r in trace.rounds[-200:]]
+    assert tail.count(Fr(1, 2)) >= 190
+
+
+def test_hedge_weight_scale_does_not_change_play():
+    # a power-of-two start far below the rescaling range is rescaled at once
+    values = (SymmetricValuation(0, (0, 1)), SymmetricValuation(1, (0, 2)))
+    grid = StrategyGrid.uniform(2, 4)
+    rule = first_price_rule(2)
+    tiny = [[2.0**-600] * 5, [2.0**-600] * 5]
+    plain = run_hedge(rule, values, grid, 300, eta=0.5, seed=4)
+    scaled = run_hedge(rule, values, grid, 300, eta=0.5, seed=4, initial_weights=tiny)
+    assert scaled.to_dict() == plain.to_dict()
+
+
 def test_unbounded_utility_detection():
     class Lying(SymmetricValuation):
         def best_case(self):

@@ -28,6 +28,7 @@ from anarchy.flows import (
     matroid_greedy,
     matroid_rule,
     rt_round,
+    rt_rule,
     rt_support,
     solve_flow_integral,
     solve_path_lp,
@@ -38,6 +39,7 @@ from anarchy.mechanism import (
     HALF_VALUE,
     SmoothnessParams,
     check_smoothness,
+    expected_run,
     scaled_bid_profiles,
     theta_grid,
     verify_pure_nash,
@@ -280,6 +282,18 @@ def test_rt_round_deterministic_given_seed():
     a = rt_round(flow, inst, 1, seed=99)
     b = rt_round(flow, inst, 1, seed=99)
     assert a == b
+
+
+def test_rt_support_size_guard_falls_back_to_sampling():
+    # 14 unit requests on one edge: 2^14 joint draws, past the exact limit
+    inst = FlowInstance(CapacitatedDigraph(2, [(0, 1, 14)]), 0, [(1, 1, 1)] * 14)
+    bids = truthful_flow_bids(inst)
+    flow, _ = greedy_fractional_flow(inst, bids)
+    assert flow.routed == (F1,) * 14
+    with pytest.raises(SizeGuardError):
+        rt_support(flow, inst, 1)
+    run = expected_run(rt_rule(inst, 1), bids, bids, samples=200)
+    assert run.exact is False
 
 
 # ----------------------------------------------------------------- integral

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from anarchy import StructuralError
-from anarchy.solvers import CapacitatedDigraph, max_flow
+from anarchy.solvers import CapacitatedDigraph, Residual, max_flow
 
 from oracles import check_flow_valid, min_cut_value
 
@@ -61,7 +61,8 @@ def test_negative_capacity_rejected():
         CapacitatedDigraph(2, [(0, 1, F(-1))])
 
 
-def test_random_graphs_match_min_cut():
+def random_graphs():
+    """120 seeded small graphs as (trial, V, edges, s, t)."""
     rng = random.Random(424242)
     for trial in range(120):
         V = rng.randint(2, 6)
@@ -73,10 +74,22 @@ def test_random_graphs_match_min_cut():
             if u == v:
                 continue
             edges.append((u, v, F(rng.randint(0, 8), rng.randint(1, 3))))
-        g = CapacitatedDigraph(V, edges)
-        s, t = 0, V - 1
-        if s == t:
-            continue
-        res = max_flow(g, s, t)
+        yield trial, V, edges, 0, V - 1
+
+
+def test_random_graphs_match_min_cut():
+    for trial, V, edges, s, t in random_graphs():
+        res = max_flow(CapacitatedDigraph(V, edges), s, t)
         assert res.value == min_cut_value(V, edges, s, t), f"trial {trial}"
         check_flow_valid(V, edges, s, t, res.edge_flows, res.value)
+
+
+def test_residual_limited_push_then_max_push():
+    for trial, V, edges, s, t in random_graphs():
+        value = min_cut_value(V, edges, s, t)
+        limit = value / 2
+        res = Residual(CapacitatedDigraph(V, edges))
+        first = res.push(s, t, limit=limit)
+        assert first == min(limit, value), f"trial {trial}"
+        assert first + res.push(s, t) == value, f"trial {trial}"
+        check_flow_valid(V, edges, s, t, res.edge_flows(), value)

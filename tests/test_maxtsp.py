@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from anarchy import maxtsp
 from anarchy.errors import SizeGuardError, StructuralError
 from anarchy.maxtsp import (
     CompleteDigraph,
@@ -137,15 +138,34 @@ def test_cover_matches_derangement_scan():
 
 
 def test_cover_lex_tie_break_is_global():
-    # all-equal weights except a forced top: every optimum compared lex
-    for g in gen_digraphs(12, seed=13, sizes=(4,), max_weight=1):
+    # 0/1 weights and all-tie graphs: every optimum compared lex
+    graphs = gen_digraphs(12, seed=13, sizes=(4,), max_weight=1)
+    graphs += gen_digraphs(24, seed=14, sizes=(4, 5, 6), max_weight=1)
+    graphs += [uniform_digraph(n) for n in range(3, 7)]
+    for g in graphs:
+        n = g.num_vertices
         cov, wt = max_weight_cycle_cover(g)
         opts = [
             p
-            for p in derangements(4)
-            if sum(g.w(u, p[u]) for u in range(4)) == wt
+            for p in derangements(n)
+            if sum(g.w(u, p[u]) for u in range(n)) == wt
         ]
         assert cov.succ == min(opts)
+
+
+def test_cover_is_one_matching_solve(monkeypatch):
+    calls = []
+    real = maxtsp.max_weight_perfect_matching
+
+    def counted(wm):
+        calls.append(wm)
+        return real(wm)
+
+    monkeypatch.setattr(maxtsp, "max_weight_perfect_matching", counted)
+    for g in gen_digraphs(6, seed=15, sizes=(4, 5, 6)):
+        calls.clear()
+        max_weight_cycle_cover(g)
+        assert len(calls) == 1
 
 
 def test_cover_under_bids_and_slot_validation():
@@ -308,6 +328,14 @@ def test_cc_social_cost_two_cluster():
     cert = check_cc_social_cost(g, truthful_edge_bids(g), CycleCover((3, 4, 5, 0, 1, 2)))
     assert cert.holds
     assert cert.rhs - cert.lhs > 0
+
+
+def test_fisher_support_size_guard():
+    # nine 3-cycles: 3^9 drop combinations, past the exact-support limit
+    cover = CycleCover([3 * (k // 3) + (k + 1) % 3 for k in range(27)])
+    assert len(cover.cycles()) == 9
+    with pytest.raises(SizeGuardError):
+        fisher_support(cover, uniform_digraph(27))
 
 
 def test_cc_social_cost_size_guard():
