@@ -1,10 +1,11 @@
 """Combinatorial auctions: configuration LP, symmetric case, fair rounding.
 
 Valuations are max-over-clauses of bounded hyperedge sums (level k of the
-complementarity hierarchy; k = 1 is fractionally subadditive). The symmetric
-specialization only depends on how many items a player gets, making its two
-natural relaxations interchangeable and the cardinality one a one-row
-packing program.
+complementarity hierarchy; k = 1 is fractionally subadditive). The
+configuration LP is a packing program with one option per bundle and one
+unit-capacity row per item. The symmetric specialization only depends on how
+many items a player gets, making its two natural relaxations interchangeable
+and the cardinality one a one-row packing program.
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,17 @@ from .mechanism import (
     product_support,
 )
 from .packing import (
-    OptionValuation,
+    PackingInstance,
     multiunit_instance,
+    residual_loss,
     solve_packing_integral,
     solve_packing_lp,
+    truthful_bids,
 )
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, weighted_index
-from .solvers import LinearProgram, solve_lp
+
+# unused here; kept while bench/tests/test_bench.py expects this binding
+from .solvers import solve_lp  # noqa: F401
 
 ITEM_LIMIT = 10  # subset enumeration guard for the configuration LP
 
@@ -245,15 +250,6 @@ class ConfigLPSolution:
     def item_load(self, j) -> Fraction:
         return self.load_static(self.x, item_subsets(self.m), j)
 
-    def residual_capacities(self, i) -> tuple:
-        """Per-item capacity left after removing player i's fractions."""
-        subs = item_subsets(self.m)
-        out = []
-        for j in range(self.m):
-            used = sum((self.x[i][s] for s in range(len(subs)) if j in subs[s]), F0)
-            out.append(F1 - used)
-        return tuple(out)
-
     def welfare(self, bids) -> Fraction:
         return sum((b.value(self) for b in bids), F0)
 
@@ -270,73 +266,35 @@ def _set_value(bid, S) -> Fraction:
     return eval_mph(bid, S)
 
 
-def solve_config_lp(n: int, m: int, bids, capacities=None, active=None):
-    """Exact configuration LP optimum, (ConfigLPSolution, value).
+def config_instance(m: int, bids) -> tuple:
+    """The configuration LP as a packing program, (PackingInstance, option bids).
 
-    capacities replaces the all-ones item supply; active restricts which
-    players get variables (the rest receive empty rows). Used as stated it
-    computes the declared welfare of the one-of-each supply.
+    Option s of every player is the bundle item_subsets(m)[s], valued by that
+    player's bid; item j is one capacity-1 row touched by the bundles holding j.
     """
+    subs = item_subsets(m)
+    amounts = [[_set_value(b, S) for S in subs] for b in bids]
+    rows = [[[F1 if j in S else F0 for S in subs] for _ in bids] for j in range(m)]
+    inst = PackingInstance(amounts, rows, [F1] * m)
+    return inst, truthful_bids(inst)
+
+
+def solve_config_lp(n: int, m: int, bids):
+    """Exact configuration LP optimum, (ConfigLPSolution, value)."""
     if len(bids) != n:
         raise StructuralError("one bid per player required")
     _check_auction_bids(bids)
-    subs = item_subsets(m)
-    players = list(range(n)) if active is None else sorted(active)
-    caps = tuple(F1 for _ in range(m)) if capacities is None else tuple(
-        frac(c) for c in capacities
-    )
-    if len(caps) != m or any(c < 0 for c in caps):
-        raise StructuralError("one nonnegative capacity per item required")
-    var_of = {}
-    objective = []
-    for i in players:
-        for s, S in enumerate(subs):
-            var_of[(i, s)] = len(objective)
-            objective.append(_set_value(bids[i], S))
-    rows = []
-    rhs = []
-    for j in range(m):
-        row = [F0] * len(objective)
-        for (i, s), col in var_of.items():
-            if j in subs[s]:
-                row[col] = F1
-        rows.append(row)
-        rhs.append(caps[j])
-    for i in players:
-        row = [F0] * len(objective)
-        for s in range(len(subs)):
-            row[var_of[(i, s)]] = F1
-        rows.append(row)
-        rhs.append(F1)
-    sol = solve_lp(LinearProgram(objective, rows, rhs))
-    if sol.status != "optimal":
-        raise StructuralError("configuration program must be solvable")
-    x = []
-    for i in range(n):
-        if (i, 0) in var_of:
-            x.append(tuple(sol.x[var_of[(i, s)]] for s in range(len(subs))))
-        else:
-            x.append(tuple(F0 for _ in subs))
-    return ConfigLPSolution(m, x), sol.value
+    alloc, value = solve_packing_lp(*config_instance(m, bids))
+    return ConfigLPSolution(m, alloc.x), value
 
 
 def check_ca_social_cost(bids, x: ConfigLPSolution, k: int) -> CostCertificate:
     """Removing any one player's fractional share costs at most (k+1) times
     the full declared optimum, summed over players."""
     _check_auction_bids(bids)
-    n = len(bids)
-    if n != x.n:
+    if len(bids) != x.n:
         raise StructuralError("solution and bid profile sizes differ")
-    m = x.m
-    _, full = solve_config_lp(n, m, bids)
-    lhs = F0
-    for i in range(n):
-        others = [p for p in range(n) if p != i]
-        _, without = solve_config_lp(n, m, bids, active=others)
-        _, residual = solve_config_lp(
-            n, m, bids, capacities=x.residual_capacities(i), active=others
-        )
-        lhs += without - residual
+    lhs, full = residual_loss(*config_instance(x.m, bids), x.x)
     rhs = (k + 1) * full
     return CostCertificate(
         holds=lhs <= rhs, lhs=lhs, rhs=rhs, detail={"welfare": full}
@@ -384,10 +342,12 @@ def _require_symmetric(bids) -> None:
             raise PreconditionError("this operation needs symmetric bids")
 
 
-def _as_option_bids(bids) -> tuple:
-    return tuple(
-        OptionValuation(i, tuple(b.levels[1:])) for i, b in enumerate(bids)
-    )
+def _cardinality_instance(bids) -> tuple:
+    """Symmetric bids as a multi-unit packing program, (instance, option bids)."""
+    _check_auction_bids(bids)
+    _require_symmetric(bids)
+    inst = multiunit_instance([b.levels[1:] for b in bids])
+    return inst, truthful_bids(inst)
 
 
 def solve_cardinality_lp(m: int, bids):
@@ -396,20 +356,14 @@ def solve_cardinality_lp(m: int, bids):
     This is the one-row packing relaxation with row (1, ..., m) and
     capacity m, solved by the packing module.
     """
-    _check_auction_bids(bids)
-    _require_symmetric(bids)
-    inst = multiunit_instance([b.levels[1:] for b in bids])
-    alloc, value = solve_packing_lp(inst, _as_option_bids(bids))
+    alloc, value = solve_packing_lp(*_cardinality_instance(bids))
     return CardinalityLPSolution(m, alloc.x), value
 
 
 def solve_cardinality_integral(m: int, bids):
     """Best integral allocation of sizes, (R tuple, value); ties prefer
     giving nothing, then smaller sizes to earlier players."""
-    _check_auction_bids(bids)
-    _require_symmetric(bids)
-    inst = multiunit_instance([b.levels[1:] for b in bids])
-    alloc, value = solve_packing_integral(inst, _as_option_bids(bids))
+    alloc, value = solve_packing_integral(*_cardinality_instance(bids))
     return tuple(alloc.choices()), value
 
 

@@ -437,51 +437,37 @@ def cmd_check_smoothness(config: ExperimentConfig) -> list:
     return [_smoothness_row(config, "config-lp", rule, values, grid, params)]
 
 
+def _tally_row(config, name, held, started) -> ReportRow:
+    """One row counting how many of the checks in held came out true."""
+    row = ReportRow(
+        name,
+        config,
+        {"checked": len(held), "held": sum(held)},
+        verdict="holds" if all(held) else "violated",
+    )
+    return _mark(row, started)
+
+
 def cmd_check_lemma(config: ExperimentConfig) -> list:
     count = config.rounds or 25
     t0 = time.monotonic()
     if config.domain == "packing":
         sparsities = (config.d,) if config.d else (1, 2, 3)
         certs = packing.social_cost_suite(count, config.seed, sparsities)
-        held = sum(1 for c in certs if c.holds)
-        row = ReportRow(
-            "pip-social-cost",
-            config,
-            {"checked": len(certs), "held": held},
-            verdict="holds" if held == len(certs) else "violated",
-        )
-        return [_mark(row, t0)]
+        return [_tally_row(config, "pip-social-cost", [c.holds for c in certs], t0)]
+    held = []
     if config.domain == "flow":
-        held = 0
-        insts = flows.gen_flow_instances(count, config.seed)
-        for inst in insts:
+        for inst in flows.gen_flow_instances(count, config.seed):
             bids = flows.truthful_flow_bids(inst)
             _, greedy = flows.greedy_fractional_flow(inst, bids)
-            if greedy == flows.solve_path_lp(inst, bids):
-                held += 1
-        row = ReportRow(
-            "greedy-equals-lp",
-            config,
-            {"checked": len(insts), "held": held},
-            verdict="holds" if held == len(insts) else "violated",
-        )
-        return [_mark(row, t0)]
+            held.append(greedy == flows.solve_path_lp(inst, bids))
+        return [_tally_row(config, "greedy-equals-lp", held, t0)]
     if config.domain == "maxtsp":
-        held = 0
-        graphs = maxtsp.gen_digraphs(count, config.seed, sizes=(4, 5))
-        for g in graphs:
+        for g in maxtsp.gen_digraphs(count, config.seed, sizes=(4, 5)):
             bids = maxtsp.truthful_edge_bids(g)
             cover, _ = maxtsp.max_weight_cycle_cover(g)
-            if maxtsp.check_cc_social_cost(g, bids, cover).holds:
-                held += 1
-        row = ReportRow(
-            "cycle-cover-social-cost",
-            config,
-            {"checked": len(graphs), "held": held},
-            verdict="holds" if held == len(graphs) else "violated",
-        )
-        return [_mark(row, t0)]
-    held = 0
+            held.append(maxtsp.check_cc_social_cost(g, bids, cover).holds)
+        return [_tally_row(config, "cycle-cover-social-cost", held, t0)]
     k = config.k or 1
     pairs = (
         auctions.gen_mph_instances(count, config.seed, k=k)
@@ -490,15 +476,8 @@ def cmd_check_lemma(config: ExperimentConfig) -> list:
     )
     for m, values in pairs:
         x, _ = auctions.solve_config_lp(len(values), m, values)
-        if auctions.check_ca_social_cost(values, x, k).holds:
-            held += 1
-    row = ReportRow(
-        "one-out-social-cost",
-        config,
-        {"checked": len(pairs), "held": held},
-        verdict="holds" if held == len(pairs) else "violated",
-    )
-    return [_mark(row, t0)]
+        held.append(auctions.check_ca_social_cost(values, x, k).holds)
+    return [_tally_row(config, "one-out-social-cost", held, t0)]
 
 
 def cmd_counterexample(config: ExperimentConfig) -> list:

@@ -7,9 +7,10 @@ welfare guarantee, so the grids are required to contain it.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp, frexp, ldexp, log, sqrt
+from math import exp, frexp, inf, ldexp, log, sqrt
 from random import Random
 from typing import Optional
 
@@ -175,6 +176,16 @@ def _utility(values, bids, outcome, i) -> Fraction:
     return values[i].value(outcome) - bids[i].value(outcome)
 
 
+def _in_range(row: list) -> list:
+    """The row scaled by a power of two so that its largest weight lies in
+    WEIGHT_RANGE."""
+    top = max(row)
+    if WEIGHT_RANGE[0] <= top <= WEIGHT_RANGE[1]:
+        return row
+    shift = frexp(top)[1]
+    return [ldexp(w, -shift) for w in row]
+
+
 def run_hedge(
     rule: AllocationRule,
     values,
@@ -201,6 +212,10 @@ def run_hedge(
         eta = default_eta(grid, T)
     if eta <= 0:
         raise PreconditionError("the learning rate must be positive")
+    # a weight may sit at WEIGHT_RANGE[1] before it is rescaled, and one
+    # update multiplies it by up to e**eta
+    if eta > log(sys.float_info.max) - log(WEIGHT_RANGE[1]):
+        raise PreconditionError("the learning rate would overflow the weights")
 
     scaled = [
         [values[i].scale(t) for t in grid.thetas[i]] for i in range(n)
@@ -213,8 +228,11 @@ def run_hedge(
         for i in range(n)
     ]
     for i, row in enumerate(weights):
-        if len(row) != len(scaled[i]) or min(row) <= 0:
-            raise StructuralError("initial weights must be positive, one per strategy")
+        if len(row) != len(scaled[i]) or not all(0 < w < inf for w in row):
+            raise StructuralError(
+                "initial weights must be positive and finite, one per strategy"
+            )
+        weights[i] = _in_range(row)
 
     cache = RelaxationCache(rule)
     rng = Random(seed)
@@ -256,10 +274,7 @@ def run_hedge(
                 cumulative[i][s] += u
                 if bounds[i] > 0:
                     weights[i][s] *= exp(eta * float(u / bounds[i]))
-            top = max(weights[i])
-            if not WEIGHT_RANGE[0] <= top <= WEIGHT_RANGE[1]:
-                shift = frexp(top)[1]
-                weights[i] = [ldexp(w, -shift) for w in weights[i]]
+            weights[i] = _in_range(weights[i])
         rounds.append(
             RoundRecord(
                 theta=tuple(grid.thetas[i][picks[i]] for i in range(n)),

@@ -177,25 +177,31 @@ def _check_bids(inst: PackingInstance, bids) -> None:
             raise StructuralError(f"bid {i} does not fit the instance")
 
 
-def solve_packing_lp(inst: PackingInstance, bids):
-    """Exact optimum of the LP relaxation under the given bids."""
-    _check_bids(inst, bids)
-    n, K = inst.n, inst.K
-    nv = n * K
-    objective = [bids[i].amounts[k] for i in range(n) for k in range(K)]
-    rows = []
-    rhs = []
-    for l in range(inst.L):
-        rows.append([inst.rows[l][i][k] for i in range(n) for k in range(K)])
-        rhs.append(inst.capacities[l])
-    for i in range(n):
-        row = [F0] * nv
-        for k in range(K):
-            row[i * K + k] = F1
+def _packing_lp(inst: PackingInstance, bids, players, capacities):
+    """The LP relaxation restricted to the listed players, under capacities.
+
+    Columns are i*K + k over the listed players; the rows are the packing
+    rows, then one "at most one option" row per listed player.
+    """
+    K = inst.K
+    objective = [bids[i].amounts[k] for i in players for k in range(K)]
+    rows = [[row[i][k] for i in players for k in range(K)] for row in inst.rows]
+    rhs = list(capacities)
+    for pos in range(len(players)):
+        row = [F0] * len(objective)
+        row[pos * K : (pos + 1) * K] = [F1] * K
         rows.append(row)
         rhs.append(F1)
     sol = solve_lp(LinearProgram(objective, rows, rhs))
     assert sol.optimal  # x = 0 is feasible and the player rows bound everything
+    return sol
+
+
+def solve_packing_lp(inst: PackingInstance, bids):
+    """Exact optimum of the LP relaxation under the given bids."""
+    _check_bids(inst, bids)
+    n, K = inst.n, inst.K
+    sol = _packing_lp(inst, bids, range(n), inst.capacities)
     x = tuple(tuple(sol.x[i * K + k] for k in range(K)) for i in range(n))
     return PackingAllocation(x), sol.value
 
@@ -352,22 +358,24 @@ def residual_welfare(inst: PackingInstance, bids, excluded: int, capacities):
     if not (0 <= excluded < inst.n):
         raise StructuralError("excluded player out of range")
     others = [i for i in range(inst.n) if i != excluded]
-    K = inst.K
-    objective = [bids[i].amounts[k] for i in others for k in range(K)]
-    rows = []
-    rhs = []
-    for l in range(inst.L):
-        rows.append([inst.rows[l][i][k] for i in others for k in range(K)])
-        rhs.append(capacities[l])
-    for pos in range(len(others)):
-        row = [F0] * (len(others) * K)
-        for k in range(K):
-            row[pos * K + k] = F1
-        rows.append(row)
-        rhs.append(F1)
-    sol = solve_lp(LinearProgram(objective, rows, rhs))
-    assert sol.optimal
-    return sol.value
+    return _packing_lp(inst, bids, others, capacities).value
+
+
+def residual_loss(inst: PackingInstance, bids, xbar) -> tuple:
+    """(sum_i [W_-i(c) - W_-i(c - A xbar_i)], W(c)) for a feasible xbar.
+
+    W_-i(c') is the LP optimum without player i under capacities c'.
+    """
+    _, full = solve_packing_lp(inst, bids)
+    lhs = F0
+    for i in range(inst.n):
+        left = tuple(
+            c - sum((row[i][k] * xbar[i][k] for k in range(inst.K)), F0)
+            for c, row in zip(inst.capacities, inst.rows)
+        )
+        without = residual_welfare(inst, bids, i, inst.capacities)
+        lhs += without - residual_welfare(inst, bids, i, left)
+    return lhs, full
 
 
 def check_pip_social_cost(inst: PackingInstance, bids, xbar) -> CostCertificate:
@@ -384,21 +392,7 @@ def check_pip_social_cost(inst: PackingInstance, bids, xbar) -> CostCertificate:
     xbar = tuple(tuple(frac(v) for v in row) for row in xbar)
     check_feasible(inst, xbar)
     d = column_sparsity(inst)
-    _, full = solve_packing_lp(inst, bids)
-    lhs = F0
-    for i in range(inst.n):
-        load = [
-            sum((inst.rows[l][i][k] * xbar[i][k] for k in range(inst.K)), F0)
-            for l in range(inst.L)
-        ]
-        without = residual_welfare(inst, bids, i, inst.capacities)
-        reduced = residual_welfare(
-            inst,
-            bids,
-            i,
-            tuple(c - dl for c, dl in zip(inst.capacities, load)),
-        )
-        lhs += without - reduced
+    lhs, full = residual_loss(inst, bids, xbar)
     rhs = (d + 1) * full
     return CostCertificate(lhs <= rhs, lhs, rhs, {"d": d, "welfare": full})
 

@@ -24,17 +24,14 @@ class WeightMatrix:
 
     entries: tuple
 
-    def __init__(self, entries: Sequence[Sequence], forbid_diagonal: bool = False):
+    def __init__(self, entries: Sequence[Sequence]):
         rows = []
         n = len(entries)
-        for i, row in enumerate(entries):
+        for row in entries:
             if len(row) != n:
                 raise StructuralError("weight matrix must be square")
             out = []
-            for j, w in enumerate(row):
-                if forbid_diagonal and i == j:
-                    out.append(None)
-                    continue
+            for w in row:
                 if w is None:
                     out.append(None)
                     continue

@@ -14,6 +14,7 @@ from anarchy.auctions import (
     additive_valuation,
     cardinality_integral_rule,
     check_ca_social_cost,
+    config_instance,
     counterexample_symmetric_deviations,
     eval_mph,
     fair_round,
@@ -39,6 +40,7 @@ from anarchy.mechanism import (
     poa_from_smoothness,
     verify_pure_nash,
 )
+from anarchy.packing import residual_welfare
 
 from oracles import lp_opt_by_vertex_enum
 
@@ -67,10 +69,14 @@ def brute_force_cardinality(m, bids):
     return best
 
 
-def config_lp_by_vertex_enum(n, m, bids):
+def config_lp_by_vertex_enum(n, m, bids, players=None, caps=None):
+    """Configuration LP optimum over the listed players (default all) with
+    the given item supplies (default one of each), by vertex enumeration."""
+    players = list(range(n)) if players is None else players
+    caps = [Fr(1)] * m if caps is None else caps
     subs = item_subsets(m)
     objective = []
-    for i in range(n):
+    for i in players:
         for S in subs:
             objective.append(eval_mph(bids[i], S))
     rows, rhs = [], []
@@ -78,16 +84,16 @@ def config_lp_by_vertex_enum(n, m, bids):
         rows.append(
             [
                 Fr(1) if j in subs[s] else Fr(0)
-                for i in range(n)
+                for i in players
                 for s in range(len(subs))
             ]
         )
-        rhs.append(Fr(1))
-    for i in range(n):
+        rhs.append(caps[j])
+    for i in players:
         rows.append(
             [
                 Fr(1) if p == i else Fr(0)
-                for p in range(n)
+                for p in players
                 for _ in range(len(subs))
             ]
         )
@@ -210,14 +216,13 @@ def test_config_lp_bounds_integral():
 
 
 def test_config_lp_capacity_and_active_restrictions():
+    # residual programs of the configuration LP: player 0 removed, supplies cut
     b0 = additive_valuation(0, (3, 1))
     b1 = additive_valuation(1, (1, 3))
-    _, value = solve_config_lp(2, 2, (b0, b1), capacities=(Fr(1, 2), 1))
-    assert value == Fr(9, 2)
-    _, value = solve_config_lp(2, 2, (b0, b1), active=[1])
-    assert value == 4
-    _, value = solve_config_lp(2, 2, (b0, b1), capacities=(0, 0))
-    assert value == 0
+    inst, option_bids = config_instance(2, (b0, b1))
+    assert residual_welfare(inst, option_bids, 0, inst.capacities) == 4
+    assert residual_welfare(inst, option_bids, 0, (Fr(1, 2), 1)) == Fr(7, 2)
+    assert residual_welfare(inst, option_bids, 0, (0, 0)) == 0
 
 
 def test_config_lp_validation():
@@ -238,7 +243,6 @@ def test_config_solution_validation():
     x = ConfigLPSolution(2, ((0, Fr(1, 2), 0, Fr(1, 4)),))
     assert x.item_load(0) == Fr(3, 4)
     assert x.item_load(1) == Fr(1, 4)
-    assert x.residual_capacities(0) == (Fr(1, 4), Fr(3, 4))
 
 
 # ----------------------------------------------------- one-out social cost
@@ -280,6 +284,30 @@ def test_ca_social_cost_foreign_solution():
         x, _ = solve_config_lp(n, m, values)
         cert = check_ca_social_cost(bids, x, 1)
         assert cert.holds
+
+
+def test_ca_social_cost_matches_vertex_enumeration():
+    # lhs and rhs rebuilt from enumerated residual configuration programs, at
+    # points solved for a second random profile
+    rng = Random(41)
+    for _ in range(10):
+        n = rng.randint(1, 2)
+        m = rng.randint(1, 2)
+        bids = tuple(rng_xos(rng, i, m) for i in range(n))
+        x, _ = solve_config_lp(n, m, tuple(rng_xos(rng, i, m) for i in range(n)))
+        k = rng.randint(1, 2)
+        cert = check_ca_social_cost(bids, x, k)
+        subs = item_subsets(m)
+        lhs = Fr(0)
+        for i in range(n):
+            others = [p for p in range(n) if p != i]
+            left = [
+                1 - sum(v for v, S in zip(x.x[i], subs) if j in S) for j in range(m)
+            ]
+            lhs += config_lp_by_vertex_enum(n, m, bids, others)
+            lhs -= config_lp_by_vertex_enum(n, m, bids, others, left)
+        assert cert.lhs == lhs
+        assert cert.rhs == (k + 1) * config_lp_by_vertex_enum(n, m, bids)
 
 
 def test_ca_social_cost_shape_mismatch():

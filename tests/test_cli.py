@@ -122,6 +122,32 @@ def test_exit_one_on_packing_round(tmp_path, capsys):
     capsys.readouterr()
 
 
+SUBSET_GUARD = "anarchy: error: subset enumeration is limited to 10 items"
+
+
+def assert_one_line_error(capsys, line):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [line]
+
+
+def test_exit_one_on_config_lp_size_guard_smoothness(capsys):
+    assert main(["auctions", "check-smoothness", "--m", "11"]) == 1
+    assert_one_line_error(capsys, SUBSET_GUARD)
+
+
+def test_exit_one_on_config_lp_size_guard_solve(tmp_path, capsys):
+    bid = {"k": 1, "clauses": [[{"T": [j], "v": "1"} for j in range(11)]]}
+    path = tmp_path / "eleven.json"
+    path.write_text(
+        json.dumps(
+            {"domain": "auctions", "kind": "mph", "instances": [{"m": 11, "bids": [bid]}]}
+        )
+    )
+    assert main(["auctions", "solve", "--instance", str(path)]) == 1
+    assert_one_line_error(capsys, SUBSET_GUARD)
+
+
 # -------------------------------------------------------------- round trip
 
 

@@ -187,6 +187,37 @@ def test_hedge_weight_scale_does_not_change_play():
     assert scaled.to_dict() == plain.to_dict()
 
 
+def test_hedge_rejects_learning_rates_that_overflow():
+    # a weight may reach 2^500 before it is rescaled and one update scales it
+    # by up to e^eta, so eta above ln(float max) - 500 ln 2 (about 363.2)
+    # could reach inf
+    values = (SymmetricValuation(0, (0, 1)), SymmetricValuation(1, (0, 2)))
+    grid = StrategyGrid.uniform(2, 4)
+    rule = first_price_rule(2)
+    for eta in (1000.0, 364.0):
+        with pytest.raises(PreconditionError):
+            run_hedge(rule, values, grid, 5, eta=eta)
+    trace = run_hedge(rule, values, grid, 50, eta=363.0, seed=0)
+    assert len(trace.rounds) == 50
+
+
+def test_hedge_rescales_initial_weights_before_the_first_update():
+    # a power-of-two start above the rescaling range would overflow in the
+    # first update at the largest accepted rate unless it is rescaled first;
+    # rescaled, it plays exactly like the unit start. Non-finite starts are
+    # rejected.
+    values = (SymmetricValuation(0, (0, 1)), SymmetricValuation(1, (0, 2)))
+    grid = StrategyGrid.uniform(2, 4)
+    rule = first_price_rule(2)
+    huge = [[2.0**1000] * 5, [2.0**1000] * 5]
+    plain = run_hedge(rule, values, grid, 20, eta=363.0, seed=0)
+    scaled = run_hedge(rule, values, grid, 20, eta=363.0, seed=0, initial_weights=huge)
+    assert scaled.to_dict() == plain.to_dict()
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(StructuralError):
+            run_hedge(rule, values, grid, 5, initial_weights=[[bad] * 5, [1.0] * 5])
+
+
 def test_unbounded_utility_detection():
     class Lying(SymmetricValuation):
         def best_case(self):

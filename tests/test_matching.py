@@ -21,7 +21,7 @@ def test_two_by_two_plain():
 
 
 def test_two_by_two_forbidden_diagonal():
-    wm = WeightMatrix([[9, 1], [1, 9]], forbid_diagonal=True)
+    wm = WeightMatrix([[None, 1], [1, None]])
     perm, value = max_weight_perfect_matching(wm)
     assert perm == (1, 0)
     assert value == 2
@@ -35,7 +35,7 @@ def test_all_equal_weights_lexicographic_tie_break():
 
 
 def test_singleton_forbidden_is_infeasible():
-    wm = WeightMatrix([[5]], forbid_diagonal=True)
+    wm = WeightMatrix([[None]])
     with pytest.raises(InfeasibleMatchingError):
         max_weight_perfect_matching(wm)
 
@@ -88,10 +88,9 @@ def test_random_forbidden_diagonal_matches_brute_force():
         entries = [
             [F(rng.randint(0, 12)) for _ in range(n)] for _ in range(n)
         ]
-        wm = WeightMatrix(entries, forbid_diagonal=True)
         masked = [
             [None if i == j else entries[i][j] for j in range(n)] for i in range(n)
         ]
-        got_perm, got_value = max_weight_perfect_matching(wm)
+        got_perm, got_value = max_weight_perfect_matching(WeightMatrix(masked))
         want_perm, want_value = matching_by_permutations(masked)
         assert (got_perm, got_value) == (want_perm, want_value)
