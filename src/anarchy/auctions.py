@@ -10,7 +10,7 @@ and the cardinality one a one-row packing program.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from random import Random
@@ -31,7 +31,8 @@ from .packing import (
     solve_packing_lp,
     truthful_bids,
 )
-from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, weighted_index
+from .rationals import F0, F1, HALF, frac, frac_str, integer_weights, parse_frac
+from .rationals import weighted_index
 
 # unused here; kept while bench/tests/test_bench.py expects this binding
 from .solvers import solve_lp  # noqa: F401
@@ -174,6 +175,13 @@ class SymmetricValuation(Valuation):
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "domain", domain)
+        # bid profiles key the relaxation cache and Fraction hashes are not
+        # cheap; the domain string is left out so the hash, unlike a str
+        # hash, is the same in every process that unpickles the valuation
+        object.__setattr__(self, "_hash", hash((player, levels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -332,6 +340,18 @@ class CardinalityLPSolution:
     def n(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def rounding_table(self) -> tuple:
+        """Fair rounding compiled once per point: for each coin, for each
+        player, (size options, their integer_weights)."""
+        return tuple(
+            tuple(
+                (opts, integer_weights([p for p, _ in opts]))
+                for opts in map(_size_options, _halved(self, coin))
+            )
+            for coin in (0, 1)
+        )
+
     def welfare(self, bids) -> Fraction:
         return sum((b.value(self) for b in bids), F0)
 
@@ -437,15 +457,10 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
     rng = Random(seed)
-    coin = rng.randrange(2)
-    q = _halved(xbar, coin)
-    draws = []
-    for row in q:
-        opts = _size_options(row)
-        k = weighted_index(rng, [p for p, _ in opts])
-        draws.append(opts[k][1])
+    table = xbar.rounding_table[rng.randrange(2)]
+    draws = tuple(opts[weighted_index(rng, ints)][1] for opts, ints in table)
     if sum(draws) <= m:
-        return tuple(draws)
+        return draws
     return tuple(0 for _ in draws)
 
 
@@ -455,7 +470,7 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
         raise StructuralError("solution was computed for a different supply")
     acc = {}
     for coin in (0, 1):
-        options = [_size_options(row) for row in _halved(xbar, coin)]
+        options = [opts for opts, _ in xbar.rounding_table[coin]]
         for prob, draws in product_support(options):
             if prob == 0:
                 continue

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, RelaxationCache, SmoothnessParams
-from .mechanism import poa_from_smoothness
+from .mechanism import poa_from_smoothness, theta_grid
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 
 SEED_SPAN = 2**63
@@ -46,8 +46,7 @@ class StrategyGrid:
     def uniform(n: int, resolution: int = 2) -> "StrategyGrid":
         if resolution % 2:
             raise StructuralError("an even resolution is needed to express 1/2")
-        row = tuple(Fraction(j, resolution) for j in range(resolution + 1))
-        return StrategyGrid((row,) * n)
+        return StrategyGrid((theta_grid(resolution),) * n)
 
     @property
     def n(self) -> int:
@@ -81,6 +80,10 @@ class PlayTrace:
     cumulative: tuple
     rule_name: str
     rule: Optional[AllocationRule] = field(
+        default=None, compare=False, repr=False
+    )
+    # the run's relaxations, so replays against the trace relax nothing again
+    cache: Optional[RelaxationCache] = field(
         default=None, compare=False, repr=False
     )
 
@@ -292,6 +295,7 @@ def run_hedge(
         cumulative=tuple(tuple(row) for row in cumulative),
         rule_name=rule.name,
         rule=rule,
+        cache=cache,
     )
 
 
@@ -326,7 +330,8 @@ def half_value_regret(trace: PlayTrace, values) -> tuple:
     """Average gain from switching every round to half the true valuation.
 
     Counterfactual outcomes are re-derived with each round's recorded seed,
-    so the comparison isolates the bid change from the rounding draw.
+    so the comparison isolates the bid change from the rounding draw. They
+    go through the trace's own relaxation cache when it has one.
     """
     if trace.rule is None:
         raise PreconditionError("a live rule is needed to replay counterfactuals")
@@ -335,7 +340,9 @@ def half_value_regret(trace: PlayTrace, values) -> tuple:
     scaled = [
         [values[i].scale(t) for t in trace.grid.thetas[i]] for i in range(n)
     ]
-    cache = RelaxationCache(trace.rule)
+    cache = trace.cache
+    if cache is None or cache.rule is not trace.rule:
+        cache = RelaxationCache(trace.rule)
     totals = [F0] * n
     for record in trace.rounds:
         bids = tuple(

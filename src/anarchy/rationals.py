@@ -61,8 +61,8 @@ def bernoulli(rng: Random, p) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
-def weighted_index(rng: Random, weights) -> int:
-    """Exact draw of an index with probability proportional to its weight."""
+def integer_weights(weights) -> list:
+    """Rational weights scaled by the lcm of their denominators to integers."""
     weights = [frac(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
@@ -70,10 +70,22 @@ def weighted_index(rng: Random, weights) -> int:
     for w in weights:
         scale = scale * w.denominator // gcd(scale, w.denominator)
     ints = [int(w * scale) for w in weights]
-    total = sum(ints)
-    if total == 0:
+    if sum(ints) == 0:
         raise ValueError("all weights are zero")
-    t = rng.randrange(total)
+    return ints
+
+
+def weighted_index(rng: Random, weights) -> int:
+    """Exact draw of an index with probability proportional to its weight.
+
+    A list of ints is taken as already scaled (see integer_weights); its
+    lcm is 1, so the draw consumes the same random bits either way.
+    """
+    ints = weights
+    scaled = isinstance(weights, list) and all(type(w) is int for w in weights)
+    if not scaled or min(weights, default=0) < 0 or not any(weights):
+        ints = integer_weights(weights)  # scales, or raises the ValueError
+    t = rng.randrange(sum(ints))
     acc = 0
     for i, w in enumerate(ints):
         acc += w

@@ -8,7 +8,9 @@ shares logic with the package under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import gcd
+from random import Random
 
 F0 = Fraction(0)
 
@@ -246,3 +248,55 @@ def smoothness_by_support(rule, value_grid, bid_grid, lam, mu, deviation):
         "witness": witness,
         "checked": checked,
     }
+
+
+def _fair_options(xbar, m, coin):
+    """Per player [(probability, size)]: the coin keeps sizes up to m // 2 on
+    heads (0) and the rest on tails, a quarter of each kept weight is drawn,
+    and size 0 takes what is left."""
+    out = []
+    for row in xbar.x:
+        opts = [
+            (q / 4, j + 1)
+            for j, q in enumerate(row)
+            if q > 0 and (j + 1 <= m // 2) == (coin == 0)
+        ]
+        out.append(opts + [(1 - sum((p for p, _ in opts), F0), 0)])
+    return out
+
+
+def fair_round_reference(xbar, m, seed):
+    """One fair-rounding draw recomputed from scratch on every call: halve,
+    list the size options, and draw each player's size by lcm-scaling its
+    rational weights to integers and calling randrange once."""
+    rng = Random(seed)
+    draws = []
+    for opts in _fair_options(xbar, m, rng.randrange(2)):
+        scale = 1
+        for p, _ in opts:
+            scale = scale * p.denominator // gcd(scale, p.denominator)
+        ints = [int(p * scale) for p, _ in opts]
+        t = rng.randrange(sum(ints))
+        k = 0
+        while t >= ints[k]:
+            t -= ints[k]
+            k += 1
+        draws.append(opts[k][1])
+    return tuple(draws) if sum(draws) <= m else tuple(0 for _ in draws)
+
+
+def fair_round_support_reference(xbar, m):
+    """Exact sorted (allocation, probability) list of fair rounding, by
+    enumerating both coins and every combination of size draws."""
+    acc = {}
+    for coin in (0, 1):
+        for combo in product(*_fair_options(xbar, m, coin)):
+            prob = Fraction(1, 2)
+            for p, _ in combo:
+                prob *= p
+            if prob == 0:
+                continue
+            draws = tuple(size for _, size in combo)
+            outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
+            acc[outcome] = acc.get(outcome, F0) + prob
+    return sorted(acc.items())

@@ -35,6 +35,7 @@ from anarchy.auctions import (
 from anarchy.errors import PreconditionError, SizeGuardError, StructuralError
 from anarchy.mechanism import (
     HALF_VALUE,
+    RelaxationCache,
     SmoothnessParams,
     compose_smoothness,
     poa_from_smoothness,
@@ -42,7 +43,11 @@ from anarchy.mechanism import (
 )
 from anarchy.packing import residual_welfare
 
-from oracles import lp_opt_by_vertex_enum
+from oracles import (
+    fair_round_reference,
+    fair_round_support_reference,
+    lp_opt_by_vertex_enum,
+)
 
 
 def brute_force_assignment(m, values):
@@ -453,6 +458,33 @@ def test_fair_round_validation_and_guard():
     )
     with pytest.raises(SizeGuardError):
         fair_round_support(wide, 10)
+
+
+def compiled_draw_points():
+    """(xbar, m): seeded LP points, a wide market, and an all-zero point."""
+    for m, values in gen_symmetric_instances(40, seed=71, max_players=3):
+        yield solve_cardinality_lp(m, values)[0], m
+    yield CardinalityLPSolution(10, [[0, Fr(1, 2)] + [0] * 8 for _ in range(5)]), 10
+    yield CardinalityLPSolution(3, ((0, 0, 0), (0, 0, 0))), 3
+
+
+def test_compiled_fair_round_matches_the_per_call_reference():
+    for xbar, m in compiled_draw_points():
+        for seed in range(200):
+            assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
+        assert fair_round_support(xbar, m) == fair_round_support_reference(xbar, m)
+
+
+def test_equal_symmetric_bids_hash_alike_and_share_cache_entries():
+    a = SymmetricValuation(1, (0, 1, Fr(3, 2)))
+    b = SymmetricValuation(1, [Fr(0), Fr(2, 2), "3/2"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != SymmetricValuation(0, (0, 1, Fr(3, 2)))
+    cache = RelaxationCache(fair_rule(2))
+    other = SymmetricValuation(0, (0, 1, 1))
+    first = cache.outcome((other, a), 5)
+    assert cache.outcome((other, b), 5) == first
+    assert len(cache.relaxed) == 1
 
 
 def test_fair_rule_stages():

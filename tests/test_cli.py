@@ -136,6 +136,11 @@ def test_exit_one_on_config_lp_size_guard_smoothness(capsys):
     assert_one_line_error(capsys, SUBSET_GUARD)
 
 
+def test_exit_one_on_zero_grid_resolution(capsys):
+    assert main(["auctions", "dynamics", "--grid", "0", "--rounds", "5"]) == 1
+    assert_one_line_error(capsys, "anarchy: error: grid resolution must be positive")
+
+
 def test_exit_one_on_config_lp_size_guard_solve(tmp_path, capsys):
     bid = {"k": 1, "clauses": [[{"T": [j], "v": "1"} for j in range(11)]]}
     path = tmp_path / "eleven.json"

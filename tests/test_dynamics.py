@@ -1,5 +1,6 @@
 """Multiplicative-weights play, regret accounting, empirical welfare ratios."""
 
+from dataclasses import replace
 from fractions import Fraction as Fr
 from math import log, sqrt
 from random import Random
@@ -71,6 +72,9 @@ def test_grid_validation():
         StrategyGrid(((0, Fr(1, 2), 2),))  # above 1
     with pytest.raises(StructuralError):
         StrategyGrid.uniform(2, 3)
+    for resolution in (0, -2):
+        with pytest.raises(StructuralError, match="grid resolution must be positive"):
+            StrategyGrid.uniform(2, resolution)
     g = StrategyGrid.uniform(2, 4)
     assert g.thetas[0] == (0, Fr(1, 4), Fr(1, 2), Fr(3, 4), 1)
     assert g.half_index(1) == 2
@@ -387,16 +391,14 @@ def test_warm_start_validation():
 # --------------------------------------------------------- relax-stage cache
 
 
-def test_hedge_reuses_relaxations():
-    m = 3
-    values = tuple(SymmetricValuation(i, (0, 1, 2, 3)) for i in range(2))
-    calls = 0
+def counting_fair_rule(m):
+    """fair_rule(m) with its relax stage counted; (rule, calls so far)."""
+    calls = [0]
     rule = fair_rule(m)
     inner = rule.relax
 
     def counting(bids):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return inner(bids)
 
     patched = type(rule)(
@@ -410,6 +412,33 @@ def test_hedge_reuses_relaxations():
         round_stage=rule.round_stage,
         name=rule.name,
     )
+    return patched, calls
+
+
+def test_hedge_reuses_relaxations():
+    m = 3
+    values = tuple(SymmetricValuation(i, (0, 1, 2, 3)) for i in range(2))
+    patched, calls = counting_fair_rule(m)
     grid = StrategyGrid.uniform(2, 2)
     run_hedge(patched, values, grid, 60, seed=12)
-    assert calls <= 9  # at most one solve per joint profile
+    assert calls[0] <= 9  # at most one solve per joint profile
+
+
+def test_half_value_regret_replays_through_the_trace_cache(tmp_path):
+    values = tuple(SymmetricValuation(i, (0, 1, 2, 3)) for i in range(2))
+    rule, calls = counting_fair_rule(3)
+    trace = run_hedge(rule, values, StrategyGrid.uniform(2, 2), 60, seed=12)
+    solved = calls[0]
+    regrets = half_value_regret(trace, values)
+    assert calls[0] == solved
+    assert regrets == empirical_poa(trace, 3).half_value_regret
+    # a hand-built trace without the cache relaxes afresh, to the same answer
+    bare = replace(trace, cache=None)
+    assert half_value_regret(bare, values) == regrets
+    assert calls[0] > solved
+    path = tmp_path / "trace.json"
+    trace.save(path)
+    loaded = PlayTrace.load(path)
+    assert loaded.cache is None and loaded == trace
+    with pytest.raises(PreconditionError):
+        half_value_regret(loaded, values)
