@@ -9,7 +9,6 @@ forbids 2-cycles but admits half-edges through per-pair gadget vertices.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from random import Random
 
 from .errors import SizeGuardError, StructuralError
@@ -17,7 +16,6 @@ from .mechanism import AllocationRule, CostCertificate, Valuation, product_suppo
 from .rationals import F0, F1, frac, frac_str, parse_frac
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
-BRUTE_FORCE_VERTEX_LIMIT = 7  # derangement scans stay below 7! permutations
 HALF_EDGE_VERTEX_LIMIT = 6
 
 
@@ -210,11 +208,15 @@ class HamiltonianCycle:
         return CycleCover(succ)
 
 
-@lru_cache(maxsize=8)
-def _derangements(n: int) -> tuple:
-    return tuple(
-        p for p in permutations(range(n)) if all(p[v] != v for v in range(n))
-    )
+def _best_cover(wf, n, forced=(None, None)):
+    """(successor tuple, weight) of one matcher call on the diagonal-forbidden
+    matrix; a forced edge (v3, v4) is the only cell of row v3 and column v4."""
+    v3, v4 = forced
+    entries = [
+        [wf(u, v) if u != v and (u == v3) == (v == v4) else None for v in range(n)]
+        for u in range(n)
+    ]
+    return max_weight_perfect_matching(WeightMatrix(entries))
 
 
 def max_weight_cycle_cover(g: CompleteDigraph, bids=None):
@@ -223,12 +225,10 @@ def max_weight_cycle_cover(g: CompleteDigraph, bids=None):
     Solved as one perfect matching between out-copies and in-copies with the
     diagonal forbidden. The matcher returns the lexicographically smallest
     maximizing permutation, which is the successor tuple, so ties break to
-    the lexicographically smallest successor tuple.
+    the lexicographically smallest successor tuple. The forced optima of
+    check_cc_social_cost are the same call with one edge forced.
     """
-    wf = _bid_weight(g, bids)
-    n = g.num_vertices
-    entries = [[None if u == v else wf(u, v) for v in range(n)] for u in range(n)]
-    succ, total = max_weight_perfect_matching(WeightMatrix(entries))
+    succ, total = _best_cover(_bid_weight(g, bids), g.num_vertices)
     return CycleCover(succ), total
 
 
@@ -301,21 +301,16 @@ def force_edge(cover: CycleCover, e, g: CompleteDigraph = None):
 
 def check_cc_social_cost(g: CompleteDigraph, bids, reference: CycleCover) -> CostCertificate:
     """Forcing each reference edge into the best cover loses at most 3x its
-    weight in total. Forced optima are exact, by derangement scan."""
+    weight in total. Each forced optimum is exact: one matcher call with
+    the reference edge as the only choice for its tail and its head."""
     n = g.num_vertices
-    if n > BRUTE_FORCE_VERTEX_LIMIT:
-        raise SizeGuardError("forced-cover scan is limited to 7 vertices")
     if reference.n != n:
         raise StructuralError("reference cover size does not match the graph")
     wf = _bid_weight(g, bids)
     cover, best = max_weight_cycle_cover(g, bids)
     lhs = F0
     for v3, v4 in reference.edges():
-        forced_best = max(
-            sum((wf(u, p[u]) for u in range(n)), F0)
-            for p in _derangements(n)
-            if p[v3] == v4
-        )
+        forced_best = _best_cover(wf, n, (v3, v4))[1]
         forced, removed = force_edge(cover, (v3, v4), g)
         if forced.succ[v3] != v4 or len(removed) > 3:
             raise StructuralError("edge forcing broke its contract")
@@ -381,9 +376,6 @@ class HalfEdgeCover:
         return Fraction(
             len(self.arcs & {(u, v, 0), (u, v, 1)}), 2
         )
-
-    def contains_full(self, u, v) -> bool:
-        return (u, v, 0) in self.arcs and (u, v, 1) in self.arcs
 
     def weight(self, g: CompleteDigraph) -> Fraction:
         return sum((g.w(u, v) / 2 for u, v, _ in self.arcs), F0)

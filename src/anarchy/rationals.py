@@ -44,15 +44,6 @@ def parse_frac(text) -> Fraction:
     raise TypeError(f"cannot parse rational from {type(text).__name__}")
 
 
-def rand_fraction(rng: Random, bits: int = 64) -> Fraction:
-    """Exact uniform draw from {0, 1/2^bits, ..., (2^bits-1)/2^bits}.
-
-    Used wherever a sampled value must be compared against rational
-    thresholds without float rounding.
-    """
-    return Fraction(rng.getrandbits(bits), 1 << bits)
-
-
 def bernoulli(rng: Random, p) -> bool:
     """Exact coin flip with success probability p = a/b (one randrange call)."""
     p = frac(p)

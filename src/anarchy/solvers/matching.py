@@ -3,16 +3,18 @@
 Forbidden cells are modeled as absent edges, so a matrix with a forbidden
 diagonal yields exactly the fixed-point-free permutations needed for cycle
 covers. The core is a shortest-augmenting-path assignment solver with dual
-potentials, run on negated weights; a refinement pass then pins down the
-lexicographically smallest permutation among the maximizers, which keeps
-every downstream tie-break deterministic.
+potentials, run once on negated integer weights: the rational weights are
+scaled to integers and by n^n, and cell (i, j) gets the bonus
+(n-1-j)·n^(n-1-i). The bonus of a whole permutation stays below n^n, so it
+only decides among the maximizers, and there it picks the lexicographically
+smallest permutation, which keeps every downstream tie-break deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 from ..errors import InfeasibleMatchingError, StructuralError
 from ..rationals import F0, frac
@@ -50,20 +52,16 @@ class WeightMatrix:
         return self.entries[i][j] is not None
 
 
-def _assignment_value(wm: WeightMatrix, rows: Sequence[int], cols: Sequence[int]):
-    """Best total weight of a perfect matching of rows onto cols, or None.
+def _assignment(ent):
+    """Minimum-cost perfect assignment of a square matrix, (perm, cost) or None.
 
-    Shortest augmenting paths on negated weights with potentials (the
-    classic O(k^3) assignment scheme), all arithmetic exact.
+    perm[i] is the column of row i; None cells are forbidden. Shortest
+    augmenting paths with potentials (the classic O(n^3) scheme), all
+    arithmetic exact.
     """
-    k = len(rows)
-    if k != len(cols):
-        raise StructuralError("assignment requires equally many rows and columns")
-    if k == 0:
-        return F0
-    ent = wm.entries
-    u = [F0] * (k + 1)
-    v = [F0] * (k + 1)
+    k = len(ent)
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
     p = [0] * (k + 1)
     way = [0] * (k + 1)
     for i in range(1, k + 1):
@@ -76,13 +74,13 @@ def _assignment_value(wm: WeightMatrix, rows: Sequence[int], cols: Sequence[int]
             i0 = p[j0]
             delta = None
             j1 = -1
-            r = rows[i0 - 1]
+            row = ent[i0 - 1]
             for j in range(1, k + 1):
                 if used[j]:
                     continue
-                w = ent[r][cols[j - 1]]
-                if w is not None:
-                    cur = -w - u[i0] - v[j]
+                c = row[j - 1]
+                if c is not None:
+                    cur = c - u[i0] - v[j]
                     if minv[j] is None or cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -104,10 +102,10 @@ def _assignment_value(wm: WeightMatrix, rows: Sequence[int], cols: Sequence[int]
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    total = F0
+    perm = [0] * k
     for j in range(1, k + 1):
-        total += wm.entries[rows[p[j] - 1]][cols[j - 1]]
-    return total
+        perm[p[j] - 1] = j - 1
+    return tuple(perm), sum(ent[i][perm[i]] for i in range(k))
 
 
 def max_weight_perfect_matching(wm: WeightMatrix):
@@ -118,26 +116,17 @@ def max_weight_perfect_matching(wm: WeightMatrix):
     cells leave no perfect matching at all.
     """
     n = wm.n
-    total = _assignment_value(wm, range(n), range(n))
-    if total is None:
+    denominators = (w.denominator for row in wm.entries for w in row if w is not None)
+    scale = lcm(*denominators) * n**n  # a weight step outweighs any bonus total
+    costs = [
+        [
+            None if w is None else -(int(w * scale) + (n - 1 - j) * n ** (n - 1 - i))
+            for j, w in enumerate(row)
+        ]
+        for i, row in enumerate(wm.entries)
+    ]
+    found = _assignment(costs)
+    if found is None:
         raise InfeasibleMatchingError("no perfect matching avoids the forbidden cells")
-    perm = []
-    free_cols = list(range(n))
-    acc = F0
-    for i in range(n):
-        rest_rows = range(i + 1, n)
-        chosen = -1
-        for j in free_cols:
-            w = wm.entries[i][j]
-            if w is None:
-                continue
-            sub = _assignment_value(wm, rest_rows, [c for c in free_cols if c != j])
-            if sub is not None and acc + w + sub == total:
-                chosen = j
-                acc += w
-                break
-        if chosen < 0:  # cannot happen once total is known to be attainable
-            raise InfeasibleMatchingError("matching refinement lost feasibility")
-        perm.append(chosen)
-        free_cols.remove(chosen)
-    return tuple(perm), total
+    perm, _ = found
+    return perm, sum((wm.entries[i][j] for i, j in enumerate(perm)), F0)

@@ -338,10 +338,38 @@ def test_fisher_support_size_guard():
         fisher_support(cover, uniform_digraph(27))
 
 
-def test_cc_social_cost_size_guard():
-    g = uniform_digraph(8)
-    with pytest.raises(SizeGuardError):
-        check_cc_social_cost(g, None, CycleCover((1, 0, 3, 2, 5, 4, 7, 6)))
+def test_cc_social_cost_eight_vertices():
+    cert = check_cc_social_cost(
+        uniform_digraph(8), None, CycleCover((1, 0, 3, 2, 5, 4, 7, 6))
+    )
+    assert cert.holds and cert.lhs == 0 and cert.rhs == 24
+
+
+def test_cc_social_cost_ten_vertices():
+    g = gen_digraphs(1, seed=43, sizes=(10,))[0]
+    cert = check_cc_social_cost(g, truthful_edge_bids(g), random_cover(10, Random(47)))
+    assert cert.holds and cert.lhs > 0
+    assert cert.rhs == 3 * max_weight_cycle_cover(g)[1]
+
+
+def test_cc_social_cost_matches_derangement_oracle():
+    # lhs is the summed loss of forcing each reference edge, by direct scan
+    sizes = (4, 5, 6, 7)
+    graphs = gen_digraphs(8, seed=51, sizes=sizes)
+    graphs += gen_digraphs(8, seed=52, sizes=sizes, max_weight=1)
+    graphs += [uniform_digraph(n) for n in sizes]
+    rng = Random(53)
+    for g in graphs:
+        n = g.num_vertices
+        scored = [(p, sum(g.w(u, p[u]) for u in range(n))) for p in derangements(n)]
+        best = max(w for _, w in scored)
+        reference = random_cover(n, rng)
+        want = sum(
+            best - max(w for p, w in scored if p[v3] == v4)
+            for v3, v4 in reference.edges()
+        )
+        cert = check_cc_social_cost(g, None, reference)
+        assert (cert.lhs, cert.rhs) == (want, 3 * best), g
 
 
 # --------------------------------------------------------------- half edges
