@@ -40,7 +40,11 @@ def parse_frac(text) -> Fraction:
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
+        text = text.strip()
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {text!r}") from None
     raise TypeError(f"cannot parse rational from {type(text).__name__}")
 
 

@@ -5,19 +5,23 @@ Programs are maximization problems in the inequality form
     max  c . x    subject to    A x <= b,  x >= 0.
 
 The solver is a two-phase dense tableau simplex using Bland's smallest-index
-pivot rule, so it cannot cycle and every run is deterministic. All pivots
-are carried out in fractions.Fraction, which makes optima exact; ties in
-the ratio test break toward the lowest basic variable index.
+pivot rule, so it cannot cycle and every run is deterministic; ties in the
+ratio test break toward the lowest basic variable index. The tableau holds
+Python ints over one positive common denominator and pivots fraction-free
+(Edmonds 1967; Bareiss 1968): each update is an exact integer division by
+the previous pivot. Fractions appear only when the vertex is read out, so
+optima are exact and the vertex is the one a Fraction tableau would reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from ..errors import StructuralError
-from ..rationals import F0, F1, frac
+from ..rationals import F0, frac
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -69,28 +73,48 @@ class LPSolution:
         return self.status == OPTIMAL
 
 
-def _pivot(tableau, obj, basis, prow_idx, pcol):
+def _integer_row(values) -> list:
+    """The rationals scaled by the lcm of their denominators to integers."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(tableau, obj, basis, det, prow_idx, pcol) -> int:
+    """Fraction-free pivot on tableau[prow_idx][pcol]; returns the new det.
+
+    Every other row, and the objective row, becomes
+    (row * p - row[pcol] * prow) / det, an exact division (Bareiss); the
+    pivot row is kept and its entry p becomes the common denominator. A
+    negative p (only in phase 1's drive-out) is renormalised by negating
+    everything, so det stays positive and signs read as in the true tableau.
+    """
     prow = tableau[prow_idx]
-    piv = prow[pcol]
-    if piv != F1:
-        inv = F1 / piv
-        prow = [a * inv for a in prow]
-        tableau[prow_idx] = prow
-    for r in range(len(tableau)):
-        if r == prow_idx:
-            continue
-        row = tableau[r]
-        f = row[pcol]
-        if f:
-            tableau[r] = [a - f * b for a, b in zip(row, prow)]
-    f = obj[pcol]
-    if f:
-        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+    p = prow[pcol]
+    for r, row in enumerate(tableau):
+        if r != prow_idx:
+            tableau[r] = _eliminate(row, prow, row[pcol], p, det)
+    obj[:] = _eliminate(obj, prow, obj[pcol], p, det)
     basis[prow_idx] = pcol
+    if p < 0:
+        for r, row in enumerate(tableau):
+            tableau[r] = [-a for a in row]
+        obj[:] = [-a for a in obj]
+        p = -p
+    return p
 
 
-def _run_simplex(tableau, obj, basis, ncols):
-    """Bland's rule loop. Returns None on optimality, or the unbounded column."""
+def _eliminate(row, prow, f, p, det) -> list:
+    """(row * p - f * prow) / det; a row with f = 0 is only rescaled."""
+    if not f:
+        if p == det:
+            return row
+        return [a * p // det for a in row]
+    return [(a * p - f * b) // det for a, b in zip(row, prow)]
+
+
+def _run_simplex(tableau, obj, basis, det, ncols):
+    """Bland's rule loop. Returns (det, None) on optimality, or
+    (det, the unbounded column)."""
     while True:
         pcol = -1
         for j in range(ncols):
@@ -98,108 +122,89 @@ def _run_simplex(tableau, obj, basis, ncols):
                 pcol = j
                 break
         if pcol < 0:
-            return None
+            return det, None
+        # Ratio test: least rhs / row[pcol] over the positive entries, compared
+        # by cross-multiplying; ties go to the lowest basic variable index.
         prow_idx = -1
-        best_ratio = None
         for r, row in enumerate(tableau):
             a = row[pcol]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[prow_idx])
-                ):
-                    best_ratio = ratio
-                    prow_idx = r
+                if prow_idx >= 0:
+                    lhs = row[-1] * best_a
+                    rhs = best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[prow_idx]):
+                        continue
+                prow_idx, best_a, best_b = r, a, row[-1]
         if prow_idx < 0:
-            return pcol
-        _pivot(tableau, obj, basis, prow_idx, pcol)
+            return det, pcol
+        det = _pivot(tableau, obj, basis, det, prow_idx, pcol)
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
     n = lp.num_vars
     m = lp.num_rows
-
-    # Constraint rows with slacks appended: A x + s = b.
-    tableau = []
-    rhs = list(lp.rhs)
-    negate = [b < 0 for b in rhs]
-    for i, row in enumerate(lp.rows):
-        full = list(row) + [F0] * m + [rhs[i]]
-        full[n + i] = F1
-        if negate[i]:
-            full = [-a for a in full]
-        tableau.append(full)
-
-    art_rows = [i for i in range(m) if negate[i]]
+    art_rows = [i for i in range(m) if lp.rhs[i] < 0]
     ncols = n + m + len(art_rows)
+
+    # Integer tableau [A | I | artificials | b]: each row of A with its rhs
+    # is scaled by the lcm of its denominators and the slack and artificial
+    # columns stay at +-1, so the starting basis has det = 1. That is a
+    # positive row scaling plus a positive scaling of the slack columns, so
+    # every sign test and ratio order, hence every pivot, is unchanged. A row
+    # with a negative rhs is negated and given an artificial basic variable.
+    tableau = []
     basis = []
-    for i in range(m):
-        if negate[i]:
+    for i, row in enumerate(lp.rows):
+        ints = _integer_row(row + (lp.rhs[i],))
+        full = ints[:n] + [0] * (ncols - n) + ints[n:]
+        full[n + i] = 1
+        col = n + i
+        if ints[n] < 0:
+            full = [-a for a in full]
             col = n + m + art_rows.index(i)
-        else:
-            col = n + i
+            full[col] = 1
+        tableau.append(full)
         basis.append(col)
-    # widen rows with artificial columns
-    for i in range(m):
-        extra = [F0] * len(art_rows)
-        if negate[i]:
-            extra[art_rows.index(i)] = F1
-        row = tableau[i]
-        tableau[i] = row[:-1] + extra + [row[-1]]
+    det = 1
 
     if art_rows:
         # Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
-        obj = [F0] * ncols + [F0]
-        for i in art_rows:
-            row = tableau[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    obj[j] += row[j]
+        obj = [sum(column) for column in zip(*(tableau[i] for i in art_rows))]
         for j in range(n + m, ncols):
-            obj[j] = F0
-        unbounded_col = _run_simplex(tableau, obj, basis, ncols)
+            obj[j] = 0
+        det, unbounded_col = _run_simplex(tableau, obj, basis, det, ncols)
         assert unbounded_col is None  # phase 1 objective is bounded above by 0
-        if obj[-1] != 0:
+        if obj[-1]:
             # obj[-1] holds -(phase 1 value), i.e. the artificial mass left over.
             return LPSolution(INFEASIBLE, None, None)
         # Drive any artificial still in the basis out of it (degenerate rows).
-        drop = []
+        # [A | +-I] has full row rank, so every row of B^-1 [A | +-I] is
+        # nonzero and a pivot column always exists.
         for r in range(m):
             if basis[r] >= n + m:
                 row = tableau[r]
-                pcol = -1
-                for j in range(n + m):
-                    if row[j]:
-                        pcol = j
-                        break
-                if pcol < 0:
-                    drop.append(r)
-                else:
-                    _pivot(tableau, obj, basis, r, pcol)
-        for r in reversed(drop):
-            del tableau[r]
-            del basis[r]
+                pcol = next(j for j in range(n + m) if row[j])
+                det = _pivot(tableau, obj, basis, det, r, pcol)
         # Strip artificial columns (they sit at the end, so indices are stable).
-        for r in range(len(tableau)):
-            row = tableau[r]
-            tableau[r] = row[: n + m] + [row[-1]]
+        for row in tableau:
+            del row[n + m : -1]
         ncols = n + m
 
-    # Phase 2 objective row, priced out against the current basis.
-    obj = [frac(c) for c in lp.objective] + [F0] * (ncols - n) + [F0]
+    # Phase 2 objective row, scaled to integers and priced out against the
+    # current basis: det * c - sum of c_B * row.
+    cost = _integer_row(lp.objective)
+    obj = [det * v for v in cost] + [0] * (ncols - n + 1)
     for r, row in enumerate(tableau):
-        cb = obj[basis[r]] if basis[r] < ncols else F0
+        cb = cost[basis[r]] if basis[r] < n else 0
         if cb:
-            obj[:] = [a - cb * b for a, b in zip(obj, row)]
-    unbounded_col = _run_simplex(tableau, obj, basis, ncols)
+            obj = [a - cb * b for a, b in zip(obj, row)]
+    det, unbounded_col = _run_simplex(tableau, obj, basis, det, ncols)
     if unbounded_col is not None:
         return LPSolution(UNBOUNDED, None, None)
 
     x = [F0] * n
     for r, col in enumerate(basis):
         if col < n:
-            x[col] = tableau[r][-1]
+            x[col] = Fraction(tableau[r][-1], det)
     value = sum((c * v for c, v in zip(lp.objective, x)), F0)
     return LPSolution(OPTIMAL, tuple(x), value)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration and dense
 Gaussian elimination over Fractions. The point is that none of this code
-shares logic with the package under test.
+shares logic with the package under test. The `*_reference` functions are
+the plain forms of faster package code: the package must return exactly
+what they return.
 """
 
 from __future__ import annotations
@@ -66,6 +68,148 @@ def lp_opt_by_vertex_enum(objective, rows, rhs):
         if best is None or val > best:
             best = val
     return best
+
+
+def _ref_pivot(tableau, obj, basis, prow_idx, pcol):
+    prow = tableau[prow_idx]
+    piv = prow[pcol]
+    if piv != 1:
+        inv = Fraction(1) / piv
+        prow = [a * inv for a in prow]
+        tableau[prow_idx] = prow
+    for r in range(len(tableau)):
+        if r == prow_idx:
+            continue
+        row = tableau[r]
+        f = row[pcol]
+        if f:
+            tableau[r] = [a - f * b for a, b in zip(row, prow)]
+    f = obj[pcol]
+    if f:
+        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+    basis[prow_idx] = pcol
+
+
+def _ref_run_simplex(tableau, obj, basis, ncols):
+    """Bland's rule loop. Returns None on optimality, or the unbounded column."""
+    while True:
+        pcol = -1
+        for j in range(ncols):
+            if obj[j] > 0:
+                pcol = j
+                break
+        if pcol < 0:
+            return None
+        prow_idx = -1
+        best_ratio = None
+        for r, row in enumerate(tableau):
+            a = row[pcol]
+            if a > 0:
+                ratio = row[-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[prow_idx])
+                ):
+                    best_ratio = ratio
+                    prow_idx = r
+        if prow_idx < 0:
+            return pcol
+        _ref_pivot(tableau, obj, basis, prow_idx, pcol)
+
+
+def solve_lp_reference(objective, rows, rhs):
+    """(status, x, value) of max c.x, Ax <= b, x >= 0 by a dense two-phase
+    Fraction tableau: Bland's entering rule, ratio-test ties toward the
+    lowest basic variable index, artificials for negative rhs rows. This is
+    the package's simplex as it stood before its pivots became fraction-free;
+    the integer tableau must reach the same vertex on every program."""
+    objective = [Fraction(c) for c in objective]
+    n = len(objective)
+    m = len(rows)
+
+    # Constraint rows with slacks appended: A x + s = b.
+    tableau = []
+    rhs = [Fraction(b) for b in rhs]
+    negate = [b < 0 for b in rhs]
+    for i, row in enumerate(rows):
+        full = [Fraction(a) for a in row] + [F0] * m + [rhs[i]]
+        full[n + i] = Fraction(1)
+        if negate[i]:
+            full = [-a for a in full]
+        tableau.append(full)
+
+    art_rows = [i for i in range(m) if negate[i]]
+    ncols = n + m + len(art_rows)
+    basis = []
+    for i in range(m):
+        if negate[i]:
+            col = n + m + art_rows.index(i)
+        else:
+            col = n + i
+        basis.append(col)
+    # widen rows with artificial columns
+    for i in range(m):
+        extra = [F0] * len(art_rows)
+        if negate[i]:
+            extra[art_rows.index(i)] = Fraction(1)
+        row = tableau[i]
+        tableau[i] = row[:-1] + extra + [row[-1]]
+
+    if art_rows:
+        # Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
+        obj = [F0] * ncols + [F0]
+        for i in art_rows:
+            row = tableau[i]
+            for j in range(ncols + 1):
+                if row[j]:
+                    obj[j] += row[j]
+        for j in range(n + m, ncols):
+            obj[j] = F0
+        unbounded_col = _ref_run_simplex(tableau, obj, basis, ncols)
+        assert unbounded_col is None  # phase 1 objective is bounded above by 0
+        if obj[-1] != 0:
+            # obj[-1] holds -(phase 1 value), i.e. the artificial mass left over.
+            return "infeasible", None, None
+        # Drive any artificial still in the basis out of it (degenerate rows).
+        drop = []
+        for r in range(m):
+            if basis[r] >= n + m:
+                row = tableau[r]
+                pcol = -1
+                for j in range(n + m):
+                    if row[j]:
+                        pcol = j
+                        break
+                if pcol < 0:
+                    drop.append(r)
+                else:
+                    _ref_pivot(tableau, obj, basis, r, pcol)
+        for r in reversed(drop):
+            del tableau[r]
+            del basis[r]
+        # Strip artificial columns (they sit at the end, so indices are stable).
+        for r in range(len(tableau)):
+            row = tableau[r]
+            tableau[r] = row[: n + m] + [row[-1]]
+        ncols = n + m
+
+    # Phase 2 objective row, priced out against the current basis.
+    obj = list(objective) + [F0] * (ncols - n) + [F0]
+    for r, row in enumerate(tableau):
+        cb = obj[basis[r]] if basis[r] < ncols else F0
+        if cb:
+            obj[:] = [a - cb * b for a, b in zip(obj, row)]
+    unbounded_col = _ref_run_simplex(tableau, obj, basis, ncols)
+    if unbounded_col is not None:
+        return "unbounded", None, None
+
+    x = [F0] * n
+    for r, col in enumerate(basis):
+        if col < n:
+            x[col] = tableau[r][-1]
+    value = sum((c * v for c, v in zip(objective, x)), F0)
+    return "optimal", tuple(x), value
 
 
 def matching_by_permutations(entries):

@@ -153,6 +153,25 @@ def test_exit_one_on_config_lp_size_guard_solve(tmp_path, capsys):
     assert_one_line_error(capsys, SUBSET_GUARD)
 
 
+def test_exit_one_on_zero_denominator_option(capsys):
+    assert main(["flow", "round", "--eps", "1/0"]) == 1
+    assert_one_line_error(
+        capsys, "anarchy: error: argument --eps: invalid parse_frac value: '1/0'"
+    )
+
+
+def test_exit_one_on_zero_denominator_in_instance(tmp_path, capsys):
+    code, path = run(["flow", "gen", "--rounds", "1"], tmp_path, "f.json")
+    assert code == 0
+    data = rows_of(path)
+    data["instances"][0]["edges"][0]["cap"] = "1/0"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["flow", "solve", "--instance", path]) == 1
+    assert_one_line_error(capsys, "anarchy: error: zero denominator in rational '1/0'")
+
+
 # -------------------------------------------------------------- round trip
 
 

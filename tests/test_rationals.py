@@ -1,11 +1,11 @@
-"""Exact rational helpers: the weighted draw and its integer form."""
+"""Exact rational helpers: parsing, the weighted draw and its integer form."""
 
 from fractions import Fraction as Fr
 from random import Random
 
 import pytest
 
-from anarchy.rationals import integer_weights, weighted_index
+from anarchy.rationals import integer_weights, parse_frac, weighted_index
 
 
 def random_weight_lists(count, seed):
@@ -48,3 +48,10 @@ def test_negative_or_all_zero_weights_raise_in_both_forms(rational, scaled):
             integer_weights(weights)
         with pytest.raises(ValueError):
             weighted_index(Random(0), weights)
+
+
+def test_parse_frac_reads_the_wire_format_and_rejects_zero_denominators():
+    assert parse_frac(" 3/4 ") == Fr(3, 4)
+    assert parse_frac("-2") == -2
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_frac("1/0")
