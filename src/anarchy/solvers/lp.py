@@ -73,10 +73,11 @@ class LPSolution:
         return self.status == OPTIMAL
 
 
-def _integer_row(values) -> list:
-    """The rationals scaled by the lcm of their denominators to integers."""
+def _integer_row(values) -> tuple:
+    """(scale, ints): the lcm of the rationals' denominators and the
+    rationals times it."""
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(tableau, obj, basis, det, prow_idx, pcol) -> int:
@@ -146,16 +147,19 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     art_rows = [i for i in range(m) if lp.rhs[i] < 0]
     ncols = n + m + len(art_rows)
 
-    # Integer tableau [A | I | artificials | b]: each row of A with its rhs
-    # is scaled by the lcm of its denominators and the slack and artificial
+    # Integer tableau [A | I | artificials | b]: row i of A with its rhs is
+    # scaled by the lcm s_i of its denominators and the slack and artificial
     # columns stay at +-1, so the starting basis has det = 1. That is a
-    # positive row scaling plus a positive scaling of the slack columns, so
-    # every sign test and ratio order, hence every pivot, is unchanged. A row
-    # with a negative rhs is negated and given an artificial basic variable.
+    # positive row scaling plus the substitution slack_i -> slack_i / s_i
+    # (and artificial_i -> artificial_i / s_i), so every sign test and ratio
+    # order, hence every pivot, is unchanged. A row with a negative rhs is
+    # negated and given an artificial basic variable.
     tableau = []
     basis = []
+    scales = []
     for i, row in enumerate(lp.rows):
-        ints = _integer_row(row + (lp.rhs[i],))
+        scale, ints = _integer_row(row + (lp.rhs[i],))
+        scales.append(scale)
         full = ints[:n] + [0] * (ncols - n) + ints[n:]
         full[n + i] = 1
         col = n + i
@@ -169,13 +173,21 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     if art_rows:
         # Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
-        obj = [sum(column) for column in zip(*(tableau[i] for i in art_rows))]
+        # Artificial i is scaled by 1/s_i, so its row enters the objective
+        # with weight 1/s_i; the lcm of those s_i times that is an integer
+        # row, a positive multiple of the Fraction tableau's.
+        common = lcm(*(scales[i] for i in art_rows))
+        obj = [0] * (ncols + 1)
+        for i in art_rows:
+            w = common // scales[i]
+            obj = [a + w * b for a, b in zip(obj, tableau[i])]
         for j in range(n + m, ncols):
             obj[j] = 0
         det, unbounded_col = _run_simplex(tableau, obj, basis, det, ncols)
         assert unbounded_col is None  # phase 1 objective is bounded above by 0
         if obj[-1]:
-            # obj[-1] holds -(phase 1 value), i.e. the artificial mass left over.
+            # obj[-1] is a positive multiple of -(phase 1 value), i.e. of the
+            # artificial mass left over.
             return LPSolution(INFEASIBLE, None, None)
         # Drive any artificial still in the basis out of it (degenerate rows).
         # [A | +-I] has full row rank, so every row of B^-1 [A | +-I] is
@@ -192,7 +204,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     # Phase 2 objective row, scaled to integers and priced out against the
     # current basis: det * c - sum of c_B * row.
-    cost = _integer_row(lp.objective)
+    _, cost = _integer_row(lp.objective)
     obj = [det * v for v in cost] + [0] * (ncols - n + 1)
     for r, row in enumerate(tableau):
         cb = cost[basis[r]] if basis[r] < n else 0

@@ -8,6 +8,7 @@ that vertex. Every test here asserts (status, x, value) equal to
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from anarchy import auctions, flows, packing
 from anarchy.solvers import LinearProgram, solve_lp
+from anarchy.solvers import lp as lp_module
 
+import oracles
 from oracles import solve_lp_reference
 
 F = Fraction
@@ -25,6 +28,26 @@ def assert_same_as_reference(lp, sol=None):
     sol = solve_lp(lp) if sol is None else sol
     expected = solve_lp_reference(lp.objective, lp.rows, lp.rhs)
     assert (sol.status, sol.x, sol.value) == expected, lp
+
+
+def recording(pivot, log):
+    def wrapper(*args):
+        log.append(args[-2:])  # (pivot row, pivot column)
+        return pivot(*args)
+
+    return wrapper
+
+
+def assert_same_pivots_as_reference(lp):
+    """Both tableaus take the same pivots in the same order. Two pivot
+    paths can end on one vertex, so this sees a changed entering or
+    leaving choice that (status, x, value) alone may not."""
+    got, expected = [], []
+    with patch.object(lp_module, "_pivot", recording(lp_module._pivot, got)), patch.object(
+        oracles, "_ref_pivot", recording(oracles._ref_pivot, expected)
+    ):
+        assert_same_as_reference(lp)
+    assert got == expected, lp
 
 
 @pytest.fixture
@@ -74,10 +97,15 @@ signed = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 def signed_programs(draw):
     """Up to 4 variables and 5 rows of small signed rationals. Negative rhs
     entries send the solver through phase 1; a scaled copy of the first row
-    makes a redundant constraint, a negated copy an equality."""
+    makes a redundant constraint, a negated copy an equality. A zero
+    objective returns the vertex phase 1 ends on, so phase 1's own pivots
+    are compared, not only the optimum phase 2 reaches from them."""
     n = draw(st.integers(0, 4))
     m = draw(st.integers(0, 5))
-    objective = [draw(signed) for _ in range(n)]
+    if draw(st.booleans()):
+        objective = [F(0)] * n
+    else:
+        objective = [draw(signed) for _ in range(n)]
     rows = [[draw(signed) for _ in range(n)] for _ in range(m)]
     rhs = [draw(signed) for _ in range(m)]
     if m >= 2 and draw(st.booleans()):
@@ -91,7 +119,7 @@ def signed_programs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(signed_programs())
 def test_signed_programs_match_the_reference(lp):
-    assert_same_as_reference(lp)
+    assert_same_pivots_as_reference(lp)
 
 
 NEGATIVE_DRIVE_OUT = [
@@ -116,5 +144,16 @@ NEGATIVE_DRIVE_OUT = [
 def test_negative_drive_out_pivot_matches_the_reference(lp, x):
     # Driving an artificial out of the basis may divide by a negative pivot;
     # the tableau is then renormalised to a positive common denominator.
-    assert_same_as_reference(lp)
+    assert_same_pivots_as_reference(lp)
     assert solve_lp(lp).x == x
+
+
+def test_phase_one_weighs_rows_as_the_fraction_tableau():
+    # Rows 0 and 1 need artificials; row 1 is scaled by 2 to integers. In
+    # Fractions phase 1's row is 1/2 for x1 and 2 for x2, so Bland's rule
+    # enters x1. Summing the integer rows unweighted gives 0 for x1 and 3
+    # for x2, enters x2 and stops at (1/3, 2/3). The zero objective keeps
+    # the vertex phase 1 ends on.
+    lp = LinearProgram([0, 0], [[-1, -1], [F(1, 2), -1], [1, 0]], [-1, F(-1, 2), F(1, 2)])
+    assert_same_pivots_as_reference(lp)
+    assert solve_lp(lp).x == (F(1, 2), F(3, 4))
