@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -79,6 +80,19 @@ class FlowInstance:
     @property
     def n(self) -> int:
         return len(self.requests)
+
+    @cached_property
+    def integer_units(self) -> tuple:
+        """(demands, capacities) as ints: each times L, the lcm of all their
+        denominators, so an integer load exceeds L·c_e exactly when the
+        rational load exceeds c_e."""
+        demands = [r.demand for r in self.requests]
+        caps = [c for _, _, c in self.graph.edges]
+        scale = lcm(*(q.denominator for q in demands + caps))
+        return (
+            tuple(int(d * scale) for d in demands),
+            tuple(int(c * scale) for c in caps),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +162,14 @@ class FractionalFlow:
 
     def routed_fraction(self, player: int) -> Fraction:
         return self.routed[player] / self.instance.requests[player].demand
+
+    @cached_property
+    def drop_order(self) -> tuple:
+        """Players by increasing r_i/d_i, ties by index: the order in which
+        the feasibility alteration drops routed players."""
+        return tuple(
+            sorted(range(self.instance.n), key=lambda i: (self.routed_fraction(i), i))
+        )
 
 
 @dataclass(frozen=True)
@@ -401,6 +423,15 @@ def solve_path_lp(inst: FlowInstance, bids) -> Fraction:
     return sol.value
 
 
+def _check_rt(flow: FractionalFlow, inst: FlowInstance, epsilon) -> Fraction:
+    epsilon = frac(epsilon)
+    if epsilon <= 0:
+        raise PreconditionError("epsilon must be positive")
+    if flow.instance != inst:
+        raise StructuralError("flow was computed for a different instance")
+    return epsilon
+
+
 def rt_round(flow: FractionalFlow, inst: FlowInstance, epsilon, seed) -> PathAssignment:
     """Scaled randomized path selection with greedy feasibility alteration.
 
@@ -410,11 +441,7 @@ def rt_round(flow: FractionalFlow, inst: FlowInstance, epsilon, seed) -> PathAss
     increasing r_i/d_i order (ties by index) until it fits. Reads neither
     bids nor values, so the outcome is oblivious given (flow, seed).
     """
-    epsilon = frac(epsilon)
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
-    if flow.instance != inst:
-        raise StructuralError("flow was computed for a different instance")
+    epsilon = _check_rt(flow, inst, epsilon)
     rng = Random(seed)
     paths = []
     for i, req in enumerate(inst.requests):
@@ -430,34 +457,35 @@ def rt_round(flow: FractionalFlow, inst: FlowInstance, epsilon, seed) -> PathAss
 
 def _alter_to_feasible(inst: FlowInstance, flow: FractionalFlow, paths) -> PathAssignment:
     # drop order reads only the fractional solution: least-served densities
-    # r_i/d_i go first, never the bids or values
-    edges = inst.graph.edges
-    dropped = []
-
-    def overloaded(current):
-        load = [F0] * len(edges)
-        for i, p in enumerate(current):
-            if p is None:
-                continue
+    # r_i/d_i go first, never the bids or values; a dropped player's demand
+    # is subtracted from the integer loads until no edge is over capacity
+    demands, caps = inst.integer_units
+    load = [0] * len(caps)
+    for i, p in enumerate(paths):
+        if p is not None:
             for e in p:
-                load[e] += inst.requests[i].demand
-        return any(load[e] > edges[e][2] for e in range(len(edges)))
-
-    raw_feasible = not overloaded(paths)
-    while overloaded(paths):
-        candidates = [i for i, p in enumerate(paths) if p is not None]
-        victim = min(candidates, key=lambda i: (flow.routed_fraction(i), i))
-        paths = list(paths)
-        paths[victim] = None
-        dropped.append(victim)
+                load[e] += demands[i]
+    over = {e for e, c in enumerate(caps) if load[e] > c}
+    raw_feasible = not over
+    paths = list(paths)
+    dropped = []
+    for i in flow.drop_order:
+        if not over:
+            break
+        if paths[i] is None:
+            continue
+        for e in paths[i]:
+            load[e] -= demands[i]
+            if load[e] <= caps[e]:
+                over.discard(e)
+        paths[i] = None
+        dropped.append(i)
     return PathAssignment(tuple(paths), tuple(dropped), raw_feasible)
 
 
 def rt_support(flow: FractionalFlow, inst: FlowInstance, epsilon):
     """Exact (probability, PathAssignment) support of rt_round."""
-    epsilon = frac(epsilon)
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
+    epsilon = _check_rt(flow, inst, epsilon)
     options = []
     for i, req in enumerate(inst.requests):
         p_route = flow.routed[i] / ((1 + epsilon) * req.demand)

@@ -20,8 +20,11 @@ def frac(value) -> Fraction:
     """Coerce ints, strings like "3/4", and Fractions to Fraction.
 
     Floats are rejected: silently converting them would smuggle binary
-    rounding error into exact computations.
+    rounding error into exact computations. A Fraction is immutable, so it
+    is returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted where exact rationals are required")
     return Fraction(value)

@@ -4,7 +4,8 @@ Everything here is deliberately naive: exhaustive enumeration and dense
 Gaussian elimination over Fractions. The point is that none of this code
 shares logic with the package under test. The `*_reference` functions are
 the plain forms of faster package code: the package must return exactly
-what they return.
+what they return. The flow references borrow only the package's containers
+and its sampling helpers, which they do not test.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 from random import Random
+
+from anarchy.flows import PathAssignment, flow_decompose
+from anarchy.rationals import bernoulli, weighted_index
 
 F0 = Fraction(0)
 
@@ -444,3 +448,47 @@ def fair_round_support_reference(xbar, m):
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
             acc[outcome] = acc.get(outcome, F0) + prob
     return sorted(acc.items())
+
+
+def alter_to_feasible_reference(inst, flow, paths):
+    """The feasibility alteration recomputed from scratch after every drop:
+    re-add every routed path's Fraction load, and drop the routed player of
+    least r_i/d_i (ties by index) while any edge is over capacity."""
+    # drop order reads only the fractional solution: least-served densities
+    # r_i/d_i go first, never the bids or values
+    edges = inst.graph.edges
+    dropped = []
+
+    def overloaded(current):
+        load = [F0] * len(edges)
+        for i, p in enumerate(current):
+            if p is None:
+                continue
+            for e in p:
+                load[e] += inst.requests[i].demand
+        return any(load[e] > edges[e][2] for e in range(len(edges)))
+
+    raw_feasible = not overloaded(paths)
+    while overloaded(paths):
+        candidates = [i for i, p in enumerate(paths) if p is not None]
+        victim = min(candidates, key=lambda i: (flow.routed_fraction(i), i))
+        paths = list(paths)
+        paths[victim] = None
+        dropped.append(victim)
+    return PathAssignment(tuple(paths), tuple(dropped), raw_feasible)
+
+
+def rt_round_reference(flow, inst, epsilon, seed):
+    """One randomized-rounding draw, altered by the reference alteration."""
+    epsilon = Fraction(epsilon)
+    rng = Random(seed)
+    paths = []
+    for i, req in enumerate(inst.requests):
+        p_route = flow.routed[i] / ((1 + epsilon) * req.demand)
+        if flow.routed[i] > 0 and bernoulli(rng, p_route):
+            pieces = flow_decompose(flow, i)
+            k = weighted_index(rng, [amt for _, amt in pieces])
+            paths.append(pieces[k][0])
+        else:
+            paths.append(None)
+    return alter_to_feasible_reference(inst, flow, paths)

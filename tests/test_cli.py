@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -242,8 +243,8 @@ def test_gen_is_deterministic(tmp_path):
     _, a = run(["flow", "gen", "--rounds", "2", "--seed", "3"], tmp_path, "a.json")
     _, b = run(["flow", "gen", "--rounds", "2", "--seed", "3"], tmp_path, "b.json")
     _, c = run(["flow", "gen", "--rounds", "2", "--seed", "4"], tmp_path, "c.json")
-    assert open(a).read() == open(b).read()
-    assert open(a).read() != open(c).read()
+    assert Path(a).read_text() == Path(b).read_text()
+    assert Path(a).read_text() != Path(c).read_text()
 
 
 def test_round_command_reports_both_stages(tmp_path):

@@ -1,7 +1,7 @@
 """Greedy fractional routing, path rounding, matroid toolkit."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from random import Random
 
 import pytest
@@ -12,7 +12,9 @@ from anarchy.flows import (
     FractionalFlow,
     MatroidOracle,
     MatroidValuation,
+    PathAssignment,
     RouteValuation,
+    _alter_to_feasible,
     check_fractional_flow,
     check_matroid_axioms,
     counterexample_flow_deviations,
@@ -46,6 +48,8 @@ from anarchy.mechanism import (
 )
 from anarchy.rationals import F0, F1
 from anarchy.solvers import CapacitatedDigraph
+
+from oracles import alter_to_feasible_reference, rt_round_reference
 
 H = Fraction(1, 2)
 
@@ -270,9 +274,16 @@ def test_rt_validation():
     flow, _ = greedy_fractional_flow(inst, truthful_flow_bids(inst))
     with pytest.raises(PreconditionError):
         rt_round(flow, inst, 0, seed=1)
+    with pytest.raises(PreconditionError):
+        rt_support(flow, inst, 0)
     other = unit_edge_instance([(1, 1, 4)])
     with pytest.raises(StructuralError):
         rt_round(flow, other, 1, seed=1)
+    with pytest.raises(StructuralError):
+        rt_support(flow, other, 1)
+    half = FlowInstance(CapacitatedDigraph(2, [(0, 1, H)]), 0, [(1, 1, 3)])
+    with pytest.raises(StructuralError):
+        rt_support(flow, half, 1)
 
 
 def test_rt_round_deterministic_given_seed():
@@ -294,6 +305,109 @@ def test_rt_support_size_guard_falls_back_to_sampling():
         rt_support(flow, inst, 1)
     run = expected_run(rt_rule(inst, 1), bids, bids, samples=200)
     assert run.exact is False
+
+
+# ------------------------------------------------------ alteration identity
+
+
+def alteration_flows():
+    """Greedy flows of seeded instances (up to 6 players) under truthful and
+    random bids."""
+    rng = Random(808)
+    for inst in gen_flow_instances(60, 808, max_vertices=5, max_players=6):
+        truthful = truthful_flow_bids(inst)
+        noisy = tuple(
+            RouteValuation(i, Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))))
+            for i in range(inst.n)
+        )
+        for bids in (truthful, noisy):
+            yield inst, greedy_fractional_flow(inst, bids)[0]
+
+
+def test_alteration_matches_the_recomputing_reference():
+    checked = altered = 0
+    for inst, flow in alteration_flows():
+        options = [
+            [None] + [path for path, _ in flow_decompose(flow, i)]
+            if flow.routed[i] > 0
+            else [None]
+            for i in range(inst.n)
+        ]
+        expected = []
+        for chosen in product(*options):
+            expected.append(alter_to_feasible_reference(inst, flow, chosen))
+            assert _alter_to_feasible(inst, flow, chosen) == expected[-1]
+            altered += not expected[-1].raw_feasible
+        checked += len(expected)
+        # rt_support lists the same choice tuples, in the same product order
+        for eps in (Fraction(1, 10), F1):
+            assert [pa for _, pa in rt_support(flow, inst, eps)] == expected
+    assert checked > 1000 and altered > 500
+
+
+def test_rt_round_matches_the_reference_draw():
+    for inst, flow in islice(alteration_flows(), 30):
+        for eps in (Fraction(1, 10), F1):
+            for seed in range(200):
+                assert rt_round(flow, inst, eps, seed) == rt_round_reference(
+                    flow, inst, eps, seed
+                )
+
+
+def alter_both(inst, flow, paths):
+    got = _alter_to_feasible(inst, flow, paths)
+    assert got == alter_to_feasible_reference(inst, flow, paths)
+    return got
+
+
+def test_alteration_drops_the_least_served_player_even_off_the_overload():
+    # edge 0 (cap 3/2) carries players 0 and 1; player 2 alone uses edge 1
+    g = CapacitatedDigraph(3, [(0, 1, Fraction(3, 2)), (0, 2, 1)])
+    inst = FlowInstance(g, 0, [(1, 1, 1), (1, 1, 1), (2, 1, 1)])
+    q = Fraction(1, 4)
+    flow = FractionalFlow(inst, ((H, F0), (3 * q, F0), (F0, q)), (H, 3 * q, q))
+    check_fractional_flow(inst, flow)
+    got = alter_both(inst, flow, ((0,), (0,), (1,)))
+    assert got == PathAssignment((None, (0,), None), (2, 0), False)
+
+
+def test_alteration_breaks_density_ties_by_index():
+    g = CapacitatedDigraph(2, [(0, 1, 2)])
+    inst = FlowInstance(g, 0, [(1, 2, 1), (1, 1, 1), (1, 2, 1)])
+    q = Fraction(1, 4)
+    flow = FractionalFlow(inst, ((H,), (q,), (H,)), (H, q, H))
+    assert [flow.routed_fraction(i) for i in range(3)] == [q, q, q]
+    check_fractional_flow(inst, flow)
+    got = alter_both(inst, flow, ((0,), (0,), (0,)))
+    assert got == PathAssignment((None, None, (0,)), (0, 1), False)
+    got = alter_both(inst, flow, (None, (0,), (0,)))
+    assert got == PathAssignment((None, None, (0,)), (1,), False)
+
+
+def test_alteration_drops_until_every_edge_fits():
+    inst = unit_edge_instance([(1, H, 1)] * 5)
+    routed = tuple(Fraction(k, 40) for k in (3, 1, 4, 2, 5))
+    flow = FractionalFlow(inst, tuple((r,) for r in routed), routed)
+    check_fractional_flow(inst, flow)
+    got = alter_both(inst, flow, ((0,),) * 5)
+    assert got == PathAssignment((None, None, (0,), None, (0,)), (1, 3, 0), False)
+
+
+def test_alteration_keeps_a_load_equal_to_its_capacity():
+    # demands 1/3: three on edge 0 (cap 1) fill it exactly, two on edge 1
+    # (cap 1/2) overload it
+    third = Fraction(1, 3)
+    g = CapacitatedDigraph(3, [(0, 1, 1), (0, 2, H)])
+    inst = FlowInstance(g, 0, [(1, third, 1)] * 3 + [(2, third, 1)] * 2)
+    routed = (third, third, third, Fraction(1, 12), Fraction(1, 6))
+    flow = FractionalFlow(
+        inst, tuple((r, F0) if i < 3 else (F0, r) for i, r in enumerate(routed)), routed
+    )
+    check_fractional_flow(inst, flow)
+    full = ((0,),) * 3
+    assert alter_both(inst, flow, full + (None, None)) == PathAssignment(full + (None, None))
+    got = alter_both(inst, flow, full + ((1,), (1,)))
+    assert got == PathAssignment(full + (None, (1,)), (3,), False)
 
 
 # ----------------------------------------------------------------- integral

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from anarchy.rationals import integer_weights, parse_frac, weighted_index
+from anarchy.rationals import frac, integer_weights, parse_frac, weighted_index
 
 
 def random_weight_lists(count, seed):
@@ -55,3 +55,17 @@ def test_parse_frac_reads_the_wire_format_and_rejects_zero_denominators():
     assert parse_frac("-2") == -2
     with pytest.raises(ValueError, match="zero denominator"):
         parse_frac("1/0")
+
+
+def test_frac_returns_a_fraction_unchanged_and_still_rejects_floats():
+    x = Fr(3, 4)
+    assert frac(x) is x
+
+    class Sub(Fr):
+        pass
+
+    for value, expected in ((Sub(1, 2), Fr(1, 2)), (3, Fr(3)), ("5/6", Fr(5, 6)), (True, Fr(1))):
+        out = frac(value)
+        assert type(out) is Fr and out == expected
+    with pytest.raises(TypeError):
+        frac(0.5)
