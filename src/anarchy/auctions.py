@@ -465,7 +465,8 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
 
 
 def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
-    """Exact (probability, allocation) support of fair_round."""
+    """Exact (probability, allocation) support of fair_round, sorted by
+    allocation."""
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
     acc = {}
@@ -476,7 +477,7 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
                 continue
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
             acc[outcome] = acc.get(outcome, F0) + HALF * prob
-    return sorted(acc.items(), key=lambda kv: kv[0])
+    return [(p, outcome) for outcome, p in sorted(acc.items())]
 
 
 # -------------------------------------------------------------------- rules
@@ -513,9 +514,7 @@ def fair_rule(m: int) -> AllocationRule:
         opt_welfare=lambda values: solve_cardinality_lp(m, values)[1],
         relax=relax,
         round_stage=lambda relaxed, seed: fair_round(relaxed, m, seed),
-        round_support=lambda relaxed: [
-            (p, r) for r, p in fair_round_support(relaxed, m)
-        ],
+        round_support=lambda relaxed: fair_round_support(relaxed, m),
         name="ca-fair",
     )
 

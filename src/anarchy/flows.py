@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from .errors import (
     InfeasibleMatchingError,

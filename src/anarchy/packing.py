@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation

@@ -492,3 +492,25 @@ def rt_round_reference(flow, inst, epsilon, seed):
         else:
             paths.append(None)
     return alter_to_feasible_reference(inst, flow, paths)
+
+
+def replay_cumulative(rule, values, trace):
+    """Every counterfactual total of a Hedge trace, recomputed per round.
+
+    cumulative[i][s] is player i's utility summed over the rounds had it bid
+    its s-th multiplier against the others' recorded bids, under the
+    round's recorded seed. Each deviation is a fresh rule.allocate call: no
+    relaxation cache, and the played multiplier is re-run like the rest.
+    """
+    n = len(values)
+    rows = trace.grid.thetas
+    totals = [[F0] * len(rows[i]) for i in range(n)]
+    for record in trace.rounds:
+        bids = [values[i].scale(record.theta[i]) for i in range(n)]
+        for i in range(n):
+            for s, theta in enumerate(rows[i]):
+                dev = list(bids)
+                dev[i] = values[i].scale(theta)
+                outcome = rule.allocate(tuple(dev), record.seed)
+                totals[i][s] += values[i].value(outcome) - dev[i].value(outcome)
+    return tuple(tuple(row) for row in totals)

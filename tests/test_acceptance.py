@@ -140,11 +140,11 @@ def test_07_fair_rounding_marginals():
     for m, values in auctions.gen_symmetric_instances(40, seed=71, max_players=3):
         xbar, _ = auctions.solve_cardinality_lp(m, values)
         support = auctions.fair_round_support(xbar, m)
-        assert sum((p for _, p in support), F0) == 1
-        assert all(sum(R) <= m for R, _ in support)
+        assert sum((p for p, _ in support), F0) == 1
+        assert all(sum(R) <= m for _, R in support)
         for i in range(xbar.n):
             for j in range(1, m + 1):
-                marginal = sum((p for R, p in support if R[i] == j), F0)
+                marginal = sum((p for p, R in support if R[i] == j), F0)
                 assert marginal >= xbar.x[i][j - 1] / 16
     # sampled marginals on a wider market where the supply check never fires
     m, n = 10, 5
@@ -294,7 +294,7 @@ def test_12_hedge_on_fair_rounding():
     assert opt == 4
     grid = dynamics.StrategyGrid.uniform(len(values), 2)
     trace = dynamics.run_hedge(rule, values, grid, T, seed=12)
-    regrets = dynamics.half_value_regret(trace, values)
+    regrets = dynamics.half_value_regret(trace)
     for r in regrets:
         assert r <= Fr(5, 100) * opt, [float(x) for x in regrets]
     params = compose_smoothness(SmoothnessParams(H, 2, HALF_VALUE), 16)

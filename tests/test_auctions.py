@@ -394,14 +394,14 @@ def test_translation_requires_symmetric_bids():
 def test_fair_round_single_all_or_nothing():
     xbar = CardinalityLPSolution(4, ((0, 0, 0, 1),))
     support = fair_round_support(xbar, 4)
-    assert support == [((0,), Fr(7, 8)), ((4,), Fr(1, 8))]
+    assert support == [(Fr(7, 8), (0,)), (Fr(1, 8), (4,))]
     outcomes = {fair_round(xbar, 4, s) for s in range(200)}
     assert outcomes == {(0,), (4,)}
 
 
 def test_fair_round_two_bidder_exact_distribution():
     xbar = CardinalityLPSolution(4, ((1, 0, 0, 0), (0, 0, 1, 0)))
-    support = dict(fair_round_support(xbar, 4))
+    support = {r: p for p, r in fair_round_support(xbar, 4)}
     assert support == {
         (0, 0): Fr(3, 4),
         (1, 0): Fr(1, 8),
@@ -413,7 +413,7 @@ def test_fair_round_alteration_event():
     # three players each asking for the whole pair of items a third of the
     # time: simultaneous draws overshoot and zero everyone out
     xbar = CardinalityLPSolution(2, ((0, Fr(1, 3)),) * 3)
-    support = dict(fair_round_support(xbar, 2))
+    support = {r: p for p, r in fair_round_support(xbar, 2)}
     assert sum(support.values()) == 1
     assert support[(0, 0, 0)] == Fr(1031, 1152)
     assert support[(2, 0, 0)] == Fr(121, 3456)
@@ -426,18 +426,18 @@ def test_fair_round_marginal_bound_and_supply():
     for m, values in gen_symmetric_instances(20, 43, max_players=3, max_items=4):
         xbar, _ = solve_cardinality_lp(m, values)
         support = fair_round_support(xbar, m)
-        assert sum(p for _, p in support) == 1
-        for r, _ in support:
+        assert sum(p for p, _ in support) == 1
+        for _, r in support:
             assert sum(r) <= m
         for i in range(len(values)):
             for j in range(1, m + 1):
-                marginal = sum(p for r, p in support if r[i] == j)
+                marginal = sum(p for p, r in support if r[i] == j)
                 assert marginal >= xbar.x[i][j - 1] / 16
 
 
 def test_fair_round_draws_match_support():
     xbar = CardinalityLPSolution(3, ((Fr(1, 2), 0, Fr(1, 4)), (0, Fr(1, 3), 0)))
-    members = {r for r, _ in fair_round_support(xbar, 3)}
+    members = {r for _, r in fair_round_support(xbar, 3)}
     for seed in range(300):
         assert fair_round(xbar, 3, seed) in members
 
@@ -472,7 +472,8 @@ def test_compiled_fair_round_matches_the_per_call_reference():
     for xbar, m in compiled_draw_points():
         for seed in range(200):
             assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
-        assert fair_round_support(xbar, m) == fair_round_support_reference(xbar, m)
+        reference = fair_round_support_reference(xbar, m)
+        assert fair_round_support(xbar, m) == [(p, r) for r, p in reference]
 
 
 def test_equal_symmetric_bids_hash_alike_and_share_cache_entries():

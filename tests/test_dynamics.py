@@ -1,5 +1,6 @@
 """Multiplicative-weights play, regret accounting, empirical welfare ratios."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction as Fr
 from math import log, sqrt
@@ -36,28 +37,27 @@ from anarchy.mechanism import (
     Valuation,
     compose_smoothness,
 )
+from oracles import replay_cumulative
 
 
 def single_item_values(*amounts):
     return tuple(SymmetricValuation(i, (0, a)) for i, a in enumerate(amounts))
 
 
-def manual_trace(grid, rule, rounds_data):
+def manual_trace(grid, rule, values, rounds_data):
     """Build a trace by hand; cumulative counters recomputed per definition."""
-    n = grid.n
-    cumulative = [[Fr(0)] * len(grid.thetas[i]) for i in range(n)]
     records = []
     for theta, seed, welfare, utilities in rounds_data:
         records.append(RoundRecord(theta, seed, Fr(welfare), tuple(utilities)))
-    return PlayTrace(
+    trace = PlayTrace(
         grid=grid,
         eta=0.1,
         seed=0,
         rounds=tuple(records),
-        cumulative=tuple(tuple(row) for row in cumulative),
-        rule_name=rule.name if rule else "",
-        rule=rule,
+        cumulative=(),
+        rule_name=rule.name,
     )
+    return replace(trace, cumulative=replay_cumulative(rule, values, trace))
 
 
 # ------------------------------------------------------------------- grids
@@ -246,21 +246,51 @@ def test_determinism_and_persistence(tmp_path):
     a.save(path)
     loaded = PlayTrace.load(path)
     assert loaded.to_dict() == a.to_dict()
-    assert loaded.rule is None
-    with pytest.raises(PreconditionError):
-        half_value_regret(loaded, values)
+    assert half_value_regret(loaded) == half_value_regret(a)
+
+
+def test_loaded_traces_must_fit_their_grid():
+    values = single_item_values(1, Fr(1, 2))
+    grid = StrategyGrid.uniform(2, 2)
+    data = run_hedge(first_price_rule(2), values, grid, 5, seed=9).to_dict()
+    assert PlayTrace.from_dict(data).to_dict() == data
+
+    def broken(edit):
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        with pytest.raises(StructuralError):
+            PlayTrace.from_dict(bad)
+
+    broken(lambda d: d["rounds"].clear())
+    broken(lambda d: d["rounds"][2]["theta"].pop())
+    broken(lambda d: d["rounds"][2]["utilities"].append("0"))
+    broken(lambda d: d["rounds"][3]["theta"].__setitem__(1, "1/4"))
+    broken(lambda d: d["cumulative"][0].pop())
+    broken(lambda d: d["cumulative"].pop())
 
 
 # ------------------------------------------------------------------ regret
 
 
 def test_half_value_regret_replay_matches_recorded():
-    values = single_item_values(1, Fr(1, 2))
+    # every recorded total must equal a fresh allocate per deviation and
+    # round, and half_value_regret must read the half column of them; an
+    # uncached fair allocate costs about half a millisecond
+    market = tuple(SymmetricValuation(i, (0, 1, 2, 3)) for i in range(2))
+    cases = (
+        (first_price_rule(2), single_item_values(1, Fr(1, 2)), 2000, 4),
+        (fair_rule(3), market, 500, 12),
+    )
     grid = StrategyGrid.uniform(2, 2)
-    trace = run_hedge(first_price_rule(2), values, grid, 150, seed=4)
-    replayed = half_value_regret(trace, values)
-    report = empirical_poa(trace, 1)
-    assert replayed == report.half_value_regret
+    for rule, values, T, seed in cases:
+        trace = run_hedge(rule, values, grid, T, seed=seed)
+        replayed = replay_cumulative(rule, values, trace)
+        assert trace.cumulative == replayed
+        half = grid.thetas[0].index(Fr(1, 2))
+        assert half_value_regret(trace) == tuple(
+            (replayed[i][half] - sum(r.utilities[i] for r in trace.rounds)) / T
+            for i in range(2)
+        )
 
 
 def test_half_value_regret_when_half_was_played():
@@ -269,7 +299,7 @@ def test_half_value_regret_when_half_was_played():
     grid = StrategyGrid(((0, Fr(1, 2)),))
     rule = first_price_rule(1)
     rounds = [((Fr(1, 2),), 0, 1, (Fr(1, 2),)) for _ in range(5)]
-    trace = manual_trace(grid, rule, rounds)
+    trace = manual_trace(grid, rule, values, rounds)
     assert half_value_regret(trace, values) == (Fr(0),)
 
 
@@ -280,7 +310,7 @@ def test_half_value_regret_for_a_sitting_out_player():
     grid = StrategyGrid.uniform(2, 2)
     rule = first_price_rule(2)
     rounds = [((Fr(0), Fr(1, 2)), 0, Fr(1, 2), (Fr(0), Fr(1, 4))) for _ in range(4)]
-    trace = manual_trace(grid, rule, rounds)
+    trace = manual_trace(grid, rule, values, rounds)
     regret = half_value_regret(trace, values)
     assert regret[0] == Fr(1, 2)
 
@@ -288,7 +318,8 @@ def test_half_value_regret_for_a_sitting_out_player():
 def test_external_regret_floor_and_arithmetic():
     grid = StrategyGrid(((0, Fr(1, 2)),))
     rule = first_price_rule(1)
-    trace = manual_trace(grid, rule, [((Fr(1, 2),), 0, 1, (Fr(1, 2),))] * 4)
+    values = single_item_values(1)
+    trace = manual_trace(grid, rule, values, [((Fr(1, 2),), 0, 1, (Fr(1, 2),))] * 4)
     # hand cumulative: strategy 0 earned 1 per round, strategy 1/2 earned 1/2
     object.__setattr__(trace, "cumulative", ((Fr(4), Fr(2)),))
     assert external_regret(trace) == (Fr(1, 2),)
@@ -301,10 +332,11 @@ def test_external_regret_floor_and_arithmetic():
 
 def test_empirical_poa_constant_and_alternating():
     grid = StrategyGrid(((0, Fr(1, 2)),))
-    constant = manual_trace(grid, None, [((Fr(0),), 0, 3, (Fr(0),))] * 4)
+    rule, values = first_price_rule(1), single_item_values(3)
+    constant = manual_trace(grid, rule, values, [((Fr(0),), 0, 3, (Fr(0),))] * 4)
     assert empirical_poa(constant, 3).ratio == 1
     alternating = manual_trace(
-        grid, None, [((Fr(0),), 0, 3, (Fr(0),)), ((Fr(0),), 0, 0, (Fr(0),))]
+        grid, rule, values, [((Fr(0),), 0, 3, (Fr(0),)), ((Fr(0),), 0, 0, (Fr(0),))]
     )
     assert empirical_poa(alternating, 3).ratio == 2
 
@@ -424,7 +456,7 @@ def test_hedge_reuses_relaxations():
     assert calls[0] <= 9  # at most one solve per joint profile
 
 
-def test_half_value_regret_replays_through_the_trace_cache(tmp_path):
+def test_half_value_regret_relaxes_nothing_and_answers_after_a_reload(tmp_path):
     values = tuple(SymmetricValuation(i, (0, 1, 2, 3)) for i in range(2))
     rule, calls = counting_fair_rule(3)
     trace = run_hedge(rule, values, StrategyGrid.uniform(2, 2), 60, seed=12)
@@ -432,13 +464,9 @@ def test_half_value_regret_replays_through_the_trace_cache(tmp_path):
     regrets = half_value_regret(trace, values)
     assert calls[0] == solved
     assert regrets == empirical_poa(trace, 3).half_value_regret
-    # a hand-built trace without the cache relaxes afresh, to the same answer
-    bare = replace(trace, cache=None)
-    assert half_value_regret(bare, values) == regrets
-    assert calls[0] > solved
     path = tmp_path / "trace.json"
     trace.save(path)
     loaded = PlayTrace.load(path)
-    assert loaded.cache is None and loaded == trace
-    with pytest.raises(PreconditionError):
-        half_value_regret(loaded, values)
+    assert loaded == trace
+    assert half_value_regret(loaded) == regrets
+    assert calls[0] == solved
