@@ -485,34 +485,23 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
 
 def config_lp_rule(n: int, m: int) -> AllocationRule:
     return AllocationRule(
-        domain="auction",
-        allocate=lambda bids, seed=None: solve_config_lp(n, m, bids)[0],
-        exact=True,
-        name="config-lp",
+        "auction", lambda bids: solve_config_lp(n, m, bids), name="config-lp"
     )
 
 
 def cardinality_integral_rule(m: int) -> AllocationRule:
     return AllocationRule(
-        domain="auction",
-        allocate=lambda bids, seed=None: solve_cardinality_integral(m, bids)[0],
-        exact=True,
+        "auction",
+        lambda bids: solve_cardinality_integral(m, bids),
         name="cardinality-integral",
     )
 
 
 def fair_rule(m: int) -> AllocationRule:
     """Relax to the cardinality LP, round with the halving coin scheme."""
-
-    def relax(bids):
-        return solve_cardinality_lp(m, bids)[0]
-
     return AllocationRule(
-        domain="auction",
-        exact=False,
-        randomized=True,
-        opt_welfare=lambda values: solve_cardinality_lp(m, values)[1],
-        relax=relax,
+        "auction",
+        lambda bids: solve_cardinality_lp(m, bids),
         round_stage=lambda relaxed, seed: fair_round(relaxed, m, seed),
         round_support=lambda relaxed: fair_round_support(relaxed, m),
         name="ca-fair",
@@ -539,13 +528,7 @@ def gen_symmetric_counterexample(m: int) -> Counterexample:
     bids = tuple(
         v.scale(0) if i < m else v for i, v in enumerate(values)
     )
-    rule = cardinality_integral_rule(m)
-    _, optimum = solve_cardinality_integral(m, values)
-    outcome = rule.allocate(bids, None)
-    eq_welfare = sum((v.value(outcome) for v in values), F0)
-    return Counterexample(
-        None, values, bids, rule, optimum, eq_welfare, optimum / eq_welfare
-    )
+    return Counterexample.of(None, values, bids, cardinality_integral_rule(m))
 
 
 def counterexample_symmetric_deviations(ce: Counterexample, resolution: int = 20):

@@ -656,7 +656,7 @@ def main(argv=None) -> int:
         )
         rows = cmd_run(config)
         write_rows(rows, config.out if config.action != "gen" else None)
-    except (CLIError, ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (CLIError, ValueError, TypeError, RuntimeError, OSError, KeyError) as exc:
         print(f"anarchy: error: {exc}", file=sys.stderr)
         return 1
     if any(row.verdict == "violated" for row in rows):

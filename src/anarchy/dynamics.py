@@ -10,6 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import exp, frexp, inf, ldexp, log, sqrt
 from random import Random
 from typing import Optional
@@ -83,6 +84,14 @@ class PlayTrace:
     @property
     def T(self) -> int:
         return len(self.rounds)
+
+    @cached_property
+    def played(self) -> tuple:
+        """Per player: the utility summed over the rounds actually played."""
+        return tuple(
+            sum((r.utilities[i] for r in self.rounds), F0)
+            for i in range(len(self.cumulative))
+        )
 
     def average_welfare(self) -> Fraction:
         return sum((r.welfare for r in self.rounds), F0) / self.T
@@ -318,12 +327,9 @@ def biased_weights(grid: StrategyGrid, profile, concentration: float = 1e6):
 
 def external_regret(trace: PlayTrace) -> tuple:
     """Per player: best fixed multiplier's average gain over actual play."""
-    T = trace.T
     out = []
-    for i in range(len(trace.cumulative)):
-        actual = sum((r.utilities[i] for r in trace.rounds), F0)
-        best = max(trace.cumulative[i])
-        gap = (best - actual) / T
+    for row, actual in zip(trace.cumulative, trace.played):
+        gap = (max(row) - actual) / trace.T
         out.append(gap if gap > 0 else F0)
     return tuple(out)
 
@@ -338,12 +344,10 @@ def half_value_regret(trace: PlayTrace, values=None) -> tuple:
     not read: the benchmark harness still passes it positionally, and the
     argument goes when the harness drops it (ROADMAP item 4).
     """
-    out = []
-    for i in range(len(trace.cumulative)):
-        half = trace.cumulative[i][trace.grid.half_index(i)]
-        actual = sum((r.utilities[i] for r in trace.rounds), F0)
-        out.append((half - actual) / trace.T)
-    return tuple(out)
+    return tuple(
+        (row[trace.grid.half_index(i)] - actual) / trace.T
+        for i, (row, actual) in enumerate(zip(trace.cumulative, trace.played))
+    )
 
 
 def empirical_poa(
@@ -423,10 +427,8 @@ def first_price_rule(n: int) -> AllocationRule:
     strategy at multiplier zero.
     """
 
-    def allocate(bids, seed=None):
+    def solve(bids):
         best = max(range(n), key=lambda i: (bids[i].levels[1], -i))
-        return tuple(1 if i == best else 0 for i in range(n))
+        return tuple(1 if i == best else 0 for i in range(n)), bids[best].levels[1]
 
-    return AllocationRule(
-        domain="auction", allocate=allocate, exact=False, name="first-price"
-    )
+    return AllocationRule("auction", solve, name="first-price")

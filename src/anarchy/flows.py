@@ -1,11 +1,11 @@
-"""Single-source routing: exact greedy fractional flow, randomized path
+"""Single-source routing: exact greedy fractional flow, random path
 rounding, and matroid machinery.
 
 Every player wants d_i units carried from the shared source to its own sink
 and values full delivery at v_i (pro rata for fractional delivery). The
 fractional relaxation is solved exactly by a greedy that serves players in
 decreasing bid density b_i/d_i over a shared residual network; its welfare
-equals the path-LP optimum. The randomized rounding routes each player along
+equals the path-LP optimum. The random rounding routes each player along
 a single path with probability r_i/((1+eps) d_i), reading only the
 fractional solution, never the bids.
 
@@ -433,7 +433,7 @@ def _check_rt(flow: FractionalFlow, inst: FlowInstance, epsilon) -> Fraction:
 
 
 def rt_round(flow: FractionalFlow, inst: FlowInstance, epsilon, seed) -> PathAssignment:
-    """Scaled randomized path selection with greedy feasibility alteration.
+    """Scaled random path selection with greedy feasibility alteration.
 
     Independently per player: route fully with probability r_i/((1+eps) d_i),
     picking a decomposition path with probability proportional to its amount.
@@ -502,26 +502,16 @@ def rt_support(flow: FractionalFlow, inst: FlowInstance, epsilon):
 
 def fractional_rule(inst: FlowInstance) -> AllocationRule:
     return AllocationRule(
-        domain="flow",
-        allocate=lambda bids, seed=None: greedy_fractional_flow(inst, bids)[0],
-        exact=True,
-        name="flow-greedy",
+        "flow", lambda bids: greedy_fractional_flow(inst, bids), name="flow-greedy"
     )
 
 
 def rt_rule(inst: FlowInstance, epsilon) -> AllocationRule:
     """Relax-and-round mechanism: greedy fractional relax, rt_round round."""
     epsilon = frac(epsilon)
-
-    def relax(bids):
-        return greedy_fractional_flow(inst, bids)[0]
-
     return AllocationRule(
-        domain="flow",
-        exact=False,
-        randomized=True,
-        opt_welfare=lambda values: greedy_fractional_flow(inst, values)[1],
-        relax=relax,
+        "flow",
+        lambda bids: greedy_fractional_flow(inst, bids),
         round_stage=lambda relaxed, seed: rt_round(relaxed, inst, epsilon, seed),
         round_support=lambda relaxed: rt_support(relaxed, inst, epsilon),
         name="flow-rt",
@@ -594,10 +584,7 @@ def solve_flow_integral(inst: FlowInstance, bids):
 
 def integral_flow_rule(inst: FlowInstance) -> AllocationRule:
     return AllocationRule(
-        domain="flow",
-        allocate=lambda bids, seed=None: solve_flow_integral(inst, bids)[0],
-        exact=True,
-        name="flow-integral",
+        "flow", lambda bids: solve_flow_integral(inst, bids), name="flow-integral"
     )
 
 
@@ -621,11 +608,7 @@ def gen_flow_counterexample(m: int) -> Counterexample:
     bids = tuple(
         RouteValuation(i, F0) if i < m else values[i] for i in range(m + 2)
     )
-    rule = integral_flow_rule(inst)
-    _, optimum = solve_flow_integral(inst, values)
-    outcome = rule.allocate(bids, None)
-    eq_welfare = sum((v.value(outcome) for v in values), F0)
-    return Counterexample(inst, values, bids, rule, optimum, eq_welfare, optimum / eq_welfare)
+    return Counterexample.of(inst, values, bids, integral_flow_rule(inst))
 
 
 def counterexample_flow_deviations(ce: Counterexample, resolution: int = 20):
@@ -804,7 +787,7 @@ def check_matroid_axioms(oracle: MatroidOracle, trials: int = 60, seed: int = 0)
 def matroid_rule(oracle: MatroidOracle) -> AllocationRule:
     index = {e: i for i, e in enumerate(oracle.ground)}
 
-    def allocate(bids, seed=None):
+    def solve(bids):
         if not oracle.independent(frozenset()):
             raise StructuralError("oracle rejects the empty set")
         chosen = set()
@@ -814,9 +797,9 @@ def matroid_rule(oracle: MatroidOracle) -> AllocationRule:
                 continue
             if oracle.independent(frozenset(chosen | {e})):
                 chosen.add(e)
-        return frozenset(chosen)
+        return frozenset(chosen), sum((bids[index[e]].amount for e in chosen), F0)
 
-    return AllocationRule(domain="matroid", allocate=allocate, exact=True, name="matroid-greedy")
+    return AllocationRule("matroid", solve, name="matroid-greedy")
 
 
 def matroid_greedy(oracle: MatroidOracle, bids, values=None):

@@ -481,25 +481,15 @@ def check_half_edge_social_cost(g: CompleteDigraph, bids, tour: HamiltonianCycle
 
 def cycle_cover_rule(g: CompleteDigraph) -> AllocationRule:
     return AllocationRule(
-        domain="maxtsp",
-        allocate=lambda bids, seed=None: max_weight_cycle_cover(g, bids)[0],
-        exact=True,
-        name="cycle-cover",
+        "maxtsp", lambda bids: max_weight_cycle_cover(g, bids), name="cycle-cover"
     )
 
 
 def fisher_rule(g: CompleteDigraph) -> AllocationRule:
     """Relax to a cycle cover on bids, round with uniform edge drops."""
-
-    def relax(bids):
-        return max_weight_cycle_cover(g, bids)[0]
-
     return AllocationRule(
-        domain="maxtsp",
-        exact=False,
-        randomized=True,
-        opt_welfare=lambda values: max_weight_cycle_cover(g, values)[1],
-        relax=relax,
+        "maxtsp",
+        lambda bids: max_weight_cycle_cover(g, bids),
         round_stage=lambda relaxed, seed: fisher_round(relaxed, g, seed),
         round_support=lambda relaxed: fisher_support(relaxed, g),
         name="maxtsp-fisher",

@@ -117,47 +117,47 @@ def compose_smoothness(params: SmoothnessParams, alpha) -> SmoothnessParams:
     return SmoothnessParams(lam, params.mu, HALF_VALUE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationRule:
-    """Bids-to-outcome map plus the metadata the checkers need.
+    """A relax-and-round rule: an exact relaxation solve, then a round that
+    never reads the bids.
 
-    allocate(bids, seed) -> outcome. Deterministic rules ignore the seed.
-    support(bids) -> [(probability, outcome), ...] for randomized rules whose
-    randomness can be enumerated. exact marks exact declared-welfare
-    maximizers over the rule's own outcome space (their optimum at truthful
-    bids serves as OPT). opt_welfare overrides the OPT oracle, e.g. with a
-    relaxation optimum for a rounding-composed rule. Randomized rules declare
-    relax(bids), round_stage(relaxed, seed) and round_support(relaxed) instead:
-    rounding never reads the bids, so allocate and support are derived.
+    solve(bids) -> (point, declared welfare) maximizes declared welfare over
+    the rule's relaxation exactly, so solve(values)[1] is OPT.
+    round_stage(point, seed) -> outcome and round_support(point) ->
+    [(probability, outcome), ...] see only the point. A rule without a round
+    stage allocates its point, which is then its own one-point support.
     """
 
     domain: str
-    allocate: Optional[Callable] = None
-    exact: bool = False
-    randomized: bool = False
-    support: Optional[Callable] = None
-    opt_welfare: Optional[Callable] = None
-    relax: Optional[Callable] = None
+    solve: Callable
     round_stage: Optional[Callable] = None
     round_support: Optional[Callable] = None
     name: str = ""
 
-    def __post_init__(self):
-        if self.allocate is None:
-            self.allocate = lambda bids, seed=None: self.round_stage(
-                self.relax(bids), seed
-            )
-        if self.support is None and self.round_support is not None:
-            self.support = lambda bids: self.round_support(self.relax(bids))
+    def round_point(self, point, seed=None):
+        return point if self.round_stage is None else self.round_stage(point, seed)
+
+    def point_support(self, point):
+        """Exact support of rounding point, None when it cannot be enumerated."""
+        if self.round_stage is None:
+            return [(F1, point)]
+        return None if self.round_support is None else self.round_support(point)
+
+    def allocate(self, bids, seed=None):
+        return self.round_point(self.solve(bids)[0], seed)
+
+    def support(self, bids):
+        return self.point_support(self.solve(bids)[0])
 
 
 class RelaxationCache:
     """One relaxation per distinct bid profile, shared by every caller.
 
     Counterfactual re-runs and deviation checks revisit the same joint bid
-    profile constantly; a rule exposing relax/round_stage pays one relaxation
-    solve per distinct profile, one rounding draw per (profile, seed) and,
-    with round_support, one support enumeration per profile.
+    profile constantly, and OPT is the solve at the truthful profile. The
+    cache pays one solve and at most one support enumeration per distinct
+    profile; each rounding draw reuses the profile's solved point.
     """
 
     def __init__(self, rule: AllocationRule):
@@ -165,26 +165,20 @@ class RelaxationCache:
         self.relaxed = {}
         self.supports = {}
 
-    def _relax(self, bids):
+    def solve(self, bids):
+        """rule.solve(bids), computed once per profile."""
         relaxed = self.relaxed.get(bids)
         if relaxed is None:
-            relaxed = self.relaxed[bids] = self.rule.relax(bids)
+            relaxed = self.relaxed[bids] = self.rule.solve(bids)
         return relaxed
 
     def outcome(self, bids, seed):
-        if self.rule.relax is None or self.rule.round_stage is None:
-            return self.rule.allocate(bids, seed)
-        return self.rule.round_stage(self._relax(bids), seed)
+        return self.rule.round_point(self.solve(bids)[0], seed)
 
     def support(self, bids):
         """Exact support at bids, None without one; SizeGuardError if too large."""
         if bids not in self.supports:
-            rule = self.rule
-            if rule.relax is not None and rule.round_support is not None:
-                out = rule.round_support(self._relax(bids))
-            else:
-                out = None if rule.support is None else rule.support(bids)
-            self.supports[bids] = out
+            self.supports[bids] = self.rule.point_support(self.solve(bids)[0])
         return self.supports[bids]
 
 
@@ -246,10 +240,6 @@ def expected_run(
     """
     _check_profile(rule, bids, values)
     n = len(bids)
-    if not rule.randomized:
-        run = run_pay_your_bid(rule, bids, values, None)
-        return ExpectedRun(run.payments, run.utilities, run.welfare, True)
-
     bids = tuple(bids)
     cache = cache or RelaxationCache(rule)
     try:
@@ -273,23 +263,6 @@ def expected_run(
             gross[i] += p * values[i].value(outcome)
     utilities = tuple(g - q for g, q in zip(gross, payments))
     return ExpectedRun(tuple(payments), utilities, sum(gross, F0), exact)
-
-
-def opt_welfare(rule: AllocationRule, values) -> Fraction:
-    """OPT(v) for the rule's outcome space.
-
-    Uses the rule's explicit oracle when present; otherwise exact rules are
-    their own oracle (run them on truthful bids). Non-exact rules without an
-    oracle cannot be checked.
-    """
-    if rule.opt_welfare is not None:
-        return rule.opt_welfare(values)
-    if not rule.exact:
-        raise StructuralError(
-            "rule is not an exact maximizer and provides no OPT oracle"
-        )
-    run = run_pay_your_bid(rule, values, values, None)
-    return run.welfare
 
 
 @dataclass(frozen=True)
@@ -345,8 +318,8 @@ def check_smoothness(
     witness profile when the inequality fails somewhere.
 
     The call shares one RelaxationCache, so each distinct bid profile is
-    relaxed once, and evaluates each distinct bid profile's expected run once
-    per valuation profile.
+    relaxed once (OPT is the solve at each valuation profile), and evaluates
+    each distinct bid profile's expected run once per valuation profile.
     """
     cache = RelaxationCache(rule)
     min_slack = None
@@ -354,7 +327,7 @@ def check_smoothness(
     statistical = False
     checked = 0
     for vi, values in enumerate(value_grid):
-        opt = opt_welfare(rule, values)
+        opt = cache.solve(tuple(values))[1]
         runs = {}
 
         def evaluate(bids):
@@ -438,6 +411,14 @@ class Counterexample:
     optimum: Fraction
     equilibrium_welfare: Fraction
     ratio: Fraction
+
+    @classmethod
+    def of(cls, instance, values, bids, rule: AllocationRule) -> "Counterexample":
+        """The construction with its optimum rule.solve(values), the welfare
+        of rule.allocate(bids) and their ratio filled in."""
+        optimum = rule.solve(values)[1]
+        welfare = run_pay_your_bid(rule, bids, values).welfare
+        return cls(instance, values, bids, rule, optimum, welfare, optimum / welfare)
 
 
 @dataclass(frozen=True)

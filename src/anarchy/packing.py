@@ -399,18 +399,14 @@ def check_pip_social_cost(inst: PackingInstance, bids, xbar) -> CostCertificate:
 
 def lp_rule(inst: PackingInstance) -> AllocationRule:
     return AllocationRule(
-        domain="packing",
-        allocate=lambda bids, seed=None: solve_packing_lp(inst, bids)[0],
-        exact=True,
-        name="packing-lp",
+        "packing", lambda bids: solve_packing_lp(inst, bids), name="packing-lp"
     )
 
 
 def integral_rule(inst: PackingInstance) -> AllocationRule:
     return AllocationRule(
-        domain="packing",
-        allocate=lambda bids, seed=None: solve_packing_integral(inst, bids)[0],
-        exact=True,
+        "packing",
+        lambda bids: solve_packing_integral(inst, bids),
         name="packing-integral",
     )
 
@@ -444,11 +440,7 @@ def gen_multiunit_counterexample(m: int) -> Counterexample:
     bids = tuple(
         OptionValuation(i, (F0,) * m) if i < m else vals[i] for i in range(m + 2)
     )
-    rule = integral_rule(inst)
-    _, optimum = solve_packing_integral(inst, vals)
-    outcome = rule.allocate(bids, None)
-    eq_welfare = sum((v.value(outcome) for v in vals), F0)
-    return Counterexample(inst, vals, bids, rule, optimum, eq_welfare, optimum / eq_welfare)
+    return Counterexample.of(inst, vals, bids, integral_rule(inst))
 
 
 def counterexample_deviations(ce: Counterexample, resolution: int = 20) -> list:

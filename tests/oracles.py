@@ -339,7 +339,7 @@ def smoothness_by_support(rule, value_grid, bid_grid, lam, mu, deviation):
 
     Every expectation comes from a fresh rule.support(bids): no cache, no
     memo, deviation candidates rebuilt for every (profile, player). OPT is
-    the rule's own opt_welfare oracle. deviation is "general" (best of the
+    the rule's own solve at the values. deviation is "general" (best of the
     half-value bid and the player's bids anywhere in the grid) or
     "half-value" (the half-value bid alone).
     """
@@ -358,7 +358,7 @@ def smoothness_by_support(rule, value_grid, bid_grid, lam, mu, deviation):
     witness = None
     checked = 0
     for vi, values in enumerate(value_grid):
-        opt = rule.opt_welfare(values)
+        opt = rule.solve(values)[1]
         for bi, bids in enumerate(bid_grid):
             bids = tuple(bids)
             _, pay = utility_and_payments(bids, values)
@@ -479,7 +479,7 @@ def alter_to_feasible_reference(inst, flow, paths):
 
 
 def rt_round_reference(flow, inst, epsilon, seed):
-    """One randomized-rounding draw, altered by the reference alteration."""
+    """One random rounding draw, altered by the reference alteration."""
     epsilon = Fraction(epsilon)
     rng = Random(seed)
     paths = []

@@ -173,6 +173,34 @@ def test_exit_one_on_zero_denominator_in_instance(tmp_path, capsys):
     assert_one_line_error(capsys, "anarchy: error: zero denominator in rational '1/0'")
 
 
+@pytest.mark.parametrize(
+    "cap, line",
+    [
+        (1.5, "anarchy: error: cannot parse rational from float"),
+        (True, "anarchy: error: booleans are not rationals"),
+    ],
+)
+def test_exit_one_on_non_text_rational_in_instance(tmp_path, capsys, cap, line):
+    code, path = run(["flow", "gen", "--rounds", "1"], tmp_path, "f.json")
+    assert code == 0
+    data = rows_of(path)
+    data["instances"][0]["edges"][0]["cap"] = cap
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["flow", "solve", "--instance", path]) == 1
+    assert_one_line_error(capsys, line)
+
+
+def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"domain": "flow", "instances": [5]}))
+    assert main(["flow", "solve", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("anarchy: error: ")
+
+
 # -------------------------------------------------------------- round trip
 
 

@@ -424,27 +424,16 @@ def test_warm_start_validation():
 
 
 def counting_fair_rule(m):
-    """fair_rule(m) with its relax stage counted; (rule, calls so far)."""
+    """fair_rule(m) with its solve counted; (rule, calls so far)."""
     calls = [0]
     rule = fair_rule(m)
-    inner = rule.relax
+    inner = rule.solve
 
     def counting(bids):
         calls[0] += 1
         return inner(bids)
 
-    patched = type(rule)(
-        domain=rule.domain,
-        allocate=rule.allocate,
-        exact=rule.exact,
-        randomized=rule.randomized,
-        support=rule.support,
-        opt_welfare=rule.opt_welfare,
-        relax=counting,
-        round_stage=rule.round_stage,
-        name=rule.name,
-    )
-    return patched, calls
+    return replace(rule, solve=counting), calls
 
 
 def test_hedge_reuses_relaxations():
@@ -454,6 +443,27 @@ def test_hedge_reuses_relaxations():
     grid = StrategyGrid.uniform(2, 2)
     run_hedge(patched, values, grid, 60, seed=12)
     assert calls[0] <= 9  # at most one solve per joint profile
+
+
+def test_hedge_solves_each_profile_of_a_deterministic_rule_once():
+    values = single_item_values(3, 2)
+    rule = first_price_rule(2)
+    solved = []
+
+    def counting(bids):
+        solved.append(bids)
+        return rule.solve(bids)
+
+    grid = StrategyGrid.uniform(2, 2)
+    trace = run_hedge(replace(rule, solve=counting), values, grid, 200, seed=4)
+    profiles = {
+        (values[0].scale(a), values[1].scale(b))
+        for a in grid.thetas[0]
+        for b in grid.thetas[1]
+    }
+    assert len(solved) == len(set(solved))
+    assert set(solved) == profiles
+    assert trace.cumulative == replay_cumulative(rule, values, trace)
 
 
 def test_half_value_regret_relaxes_nothing_and_answers_after_a_reload(tmp_path):

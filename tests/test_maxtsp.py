@@ -499,7 +499,7 @@ def test_fisher_rule_support_and_welfare():
     expected = sum((p * t.weight(g) for p, t in support), F0)
     assert expected >= relaxed_weight / 2
     assert rule.round_stage(relaxed, seed=5) == rule.round_stage(relaxed, seed=5)
-    assert rule.opt_welfare(values) == relaxed_weight
+    assert rule.solve(values) == (relaxed, relaxed_weight)
 
 
 # --------------------------------------------------------------- generators

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from anarchy import auctions, dynamics, flows, maxtsp, packing
 from anarchy.auctions import SymmetricValuation, fair_rule, gen_symmetric_instances
 from anarchy.errors import SizeGuardError, StructuralError
 from anarchy.flows import gen_flow_instances, rt_rule, truthful_flow_bids
@@ -52,14 +53,14 @@ class ItemValuation:
 
 def first_price_rule():
     # highest bid wins, ties to the lowest index
-    def allocate(bids, seed=None):
+    def solve(bids):
         best = max(b.amount for b in bids)
         for i, b in enumerate(bids):
             if b.amount == best:
-                return i
+                return i, best
         raise AssertionError
 
-    return AllocationRule(domain="single-item", allocate=allocate, exact=True)
+    return AllocationRule(domain="single-item", solve=solve)
 
 
 def item_bids(*amounts):
@@ -161,16 +162,22 @@ def test_expected_run_deterministic_rule():
     assert er.welfare == 5
 
 
+def coin_flip(point, seed):
+    return Random(seed).randrange(2)
+
+
+def split_item(bids):
+    # the relaxed point shares the item equally between the two players
+    return None, (bids[0].amount + bids[1].amount) / 2
+
+
 def test_expected_run_exact_support():
     # coin flip between the two players, enumerated exactly
-    def allocate(bids, seed=None):
-        return Random(seed).randrange(2)
-
     rule = AllocationRule(
         domain="single-item",
-        allocate=allocate,
-        randomized=True,
-        support=lambda bids: [(H, 0), (H, 1)],
+        solve=split_item,
+        round_stage=coin_flip,
+        round_support=lambda point: [(H, 0), (H, 1)],
     )
     er = expected_run(rule, item_bids(4, 2), item_bids(4, 2))
     assert er.exact
@@ -181,19 +188,16 @@ def test_expected_run_exact_support():
 def test_expected_run_bad_support_probabilities():
     rule = AllocationRule(
         domain="single-item",
-        allocate=lambda bids, seed=None: 0,
-        randomized=True,
-        support=lambda bids: [(H, 0), (Fraction(1, 3), 1)],
+        solve=lambda bids: (None, bids[0].amount),
+        round_stage=lambda point, seed: 0,
+        round_support=lambda point: [(H, 0), (Fraction(1, 3), 1)],
     )
     with pytest.raises(StructuralError):
         expected_run(rule, item_bids(1), item_bids(1))
 
 
 def test_expected_run_sampling_marked_statistical():
-    def allocate(bids, seed=None):
-        return Random(seed).randrange(2)
-
-    rule = AllocationRule(domain="single-item", allocate=allocate, randomized=True)
+    rule = AllocationRule(domain="single-item", solve=split_item, round_stage=coin_flip)
     er = expected_run(rule, item_bids(1, 1), item_bids(1, 1), samples=400, seed=3)
     assert not er.exact
     assert abs(er.payments[0] - H) < Fraction(1, 5)
@@ -295,6 +299,88 @@ def test_scaled_bid_profiles_cover_product():
     assert all(p[0].player == 0 and p[1].player == 1 for p in profiles)
 
 
+# ------------------------------------------------------------- derived OPT
+
+
+def _packing_case(seed):
+    inst = packing.gen_instances("sparse-random", 1, seed, n=3, K=2, L=2, d=1)[0]
+    return (inst,), packing.truthful_bids(inst)
+
+
+def _xos_case(seed):
+    m, values = auctions.gen_xos_instances(1, seed, max_players=2, max_items=3)[0]
+    return (len(values), m), values
+
+
+def _symmetric_case(seed):
+    m, values = gen_symmetric_instances(1, seed, max_players=3, max_items=3)[0]
+    return (m,), values
+
+
+def _digraph_case(seed):
+    g = gen_digraphs(1, seed, sizes=(4,))[0]
+    return (g,), truthful_edge_bids(g)
+
+
+def _flow_case(seed):
+    inst = gen_flow_instances(1, seed, max_vertices=6, max_players=3)[0]
+    return (inst,), truthful_flow_bids(inst)
+
+
+def _matroid_case(seed):
+    rng = Random(seed)
+    amounts = [rng.randint(0, 6) for _ in range(5)]
+    bids = tuple(flows.MatroidValuation(i, a) for i, a in enumerate(amounts))
+    return (flows.uniform_matroid(5, 2),), bids
+
+
+def _single_item_case(seed):
+    rng = Random(seed)
+    bids = tuple(SymmetricValuation(i, (0, rng.randint(0, 4))) for i in range(3))
+    return (3,), bids
+
+
+DETERMINISTIC_RULES = [
+    pytest.param(packing.lp_rule, _packing_case, id="lp_rule"),
+    pytest.param(packing.integral_rule, _packing_case, id="integral_rule"),
+    pytest.param(auctions.config_lp_rule, _xos_case, id="config_lp_rule"),
+    pytest.param(
+        auctions.cardinality_integral_rule,
+        _symmetric_case,
+        id="cardinality_integral_rule",
+    ),
+    pytest.param(maxtsp.cycle_cover_rule, _digraph_case, id="cycle_cover_rule"),
+    pytest.param(flows.fractional_rule, _flow_case, id="fractional_rule"),
+    pytest.param(flows.integral_flow_rule, _flow_case, id="integral_flow_rule"),
+    pytest.param(flows.matroid_rule, _matroid_case, id="matroid_rule"),
+    pytest.param(dynamics.first_price_rule, _single_item_case, id="first_price_rule"),
+]
+
+RELAX_AND_ROUND_RULES = [
+    pytest.param(fair_rule, _symmetric_case, id="fair_rule"),
+    pytest.param(fisher_rule, _digraph_case, id="fisher_rule"),
+    pytest.param(lambda inst: rt_rule(inst, Fraction(1, 10)), _flow_case, id="rt_rule"),
+]
+
+
+@pytest.mark.parametrize("factory, case", DETERMINISTIC_RULES)
+def test_opt_of_a_deterministic_rule_is_its_allocated_welfare(factory, case):
+    for seed in range(4):
+        args, values = case(seed)
+        rule = factory(*args)
+        outcome = rule.allocate(values)
+        assert rule.solve(values)[1] == sum((v.value(outcome) for v in values), F0)
+        assert rule.support(values) == [(F1, outcome)]
+
+
+@pytest.mark.parametrize("factory, case", RELAX_AND_ROUND_RULES)
+def test_opt_of_a_relax_and_round_rule_is_its_relaxed_welfare(factory, case):
+    for seed in range(4):
+        args, values = case(seed)
+        point, opt = factory(*args).solve(values)
+        assert opt == sum((v.value(point) for v in values), F0)
+
+
 # ---------------------------------------------------------- relaxation cache
 
 
@@ -320,16 +406,15 @@ def _small_relax_and_round_cases():
 
 
 def _counting_relax(rule):
-    """The rule with relax wrapped to log every bid profile it relaxes."""
+    """The rule with solve wrapped to log every bid profile it relaxes."""
     relaxed = []
-    inner = rule.relax
+    inner = rule.solve
 
-    def relax(bids):
+    def solve(bids):
         relaxed.append(tuple(bids))
         return inner(bids)
 
-    # allocate and support are re-derived from the counting relax
-    return replace(rule, relax=relax, allocate=None, support=None), relaxed
+    return replace(rule, solve=solve), relaxed
 
 
 @pytest.mark.parametrize("mode", [GENERAL, HALF_VALUE])
@@ -352,6 +437,7 @@ def test_check_smoothness_relaxes_each_profile_once():
         check_smoothness(counted, value_grid, bid_grid, SmoothnessParams(H, 1, GENERAL))
         profiles = set()
         for values in value_grid:
+            profiles.add(tuple(values))  # OPT is the solve at the values
             for bids in bid_grid:
                 for i in range(len(bids)):
                     for dev in [values[i].scale(H)] + [p[i] for p in bid_grid]:
