@@ -203,7 +203,8 @@ def cmd_paper_table(config: ExperimentConfig) -> list:
 # ------------------------------------------------------ instance handling
 
 
-def _load_instances(config: ExperimentConfig) -> dict:
+def _load_instances(config: ExperimentConfig):
+    """(auction kind, instance entries) of the file named by --instance."""
     if not config.instance:
         raise CLIError("this action needs --instance")
     try:
@@ -213,11 +214,17 @@ def _load_instances(config: ExperimentConfig) -> dict:
         raise CLIError(f"cannot read instance file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise CLIError(
+            f"instance file must hold a JSON object, not {type(data).__name__}"
+        )
     if data.get("domain") != config.domain:
         raise CLIError(
             f"instance file is for domain {data.get('domain')!r}, not {config.domain!r}"
         )
-    return data
+    if not isinstance(data.get("instances"), list):
+        raise CLIError("instance file needs an 'instances' list")
+    return data.get("kind", "mph"), data["instances"]
 
 
 def _gen_payload(config: ExperimentConfig, count: int) -> dict:
@@ -259,91 +266,66 @@ def _gen_payload(config: ExperimentConfig, count: int) -> dict:
 
 
 def cmd_gen(config: ExperimentConfig) -> list:
+    if not config.out:
+        raise CLIError("gen needs --out to know where to write instances")
     t0 = time.monotonic()
     count = config.rounds or 5
     payload = _gen_payload(config, count)
-    if not config.out:
-        raise CLIError("gen needs --out to know where to write instances")
     with open(config.out, "w") as fh:
         json.dump(payload, fh)
     row = ReportRow("gen", config, {"count": count, "file": config.out})
     return [_mark(row, t0)]
 
 
-def _parse_auction_instance(entry: dict, kind: str):
-    if kind == "mph":
-        vals = tuple(
-            auctions.MPHkValuation.from_dict(i, d) for i, d in enumerate(entry["bids"])
-        )
-    else:
-        vals = tuple(
+def _rule_for(config: ExperimentConfig, kind: str, entry: dict):
+    """(rule, truthful values) of one instance entry: the domain's
+    relax-and-round rule, or its relaxation alone where it has no round."""
+    if config.domain == "packing":
+        inst = packing.PackingInstance.from_dict(entry)
+        return packing.lp_rule(inst), packing.truthful_bids(inst)
+    if config.domain == "flow":
+        inst = flows.FlowInstance.from_dict(entry)
+        eps = config.eps if config.eps is not None else Fraction(1, 10)
+        return flows.rt_rule(inst, eps), flows.truthful_flow_bids(inst)
+    if config.domain == "maxtsp":
+        g = maxtsp.CompleteDigraph.from_dict(entry)
+        return maxtsp.fisher_rule(g), maxtsp.truthful_edge_bids(g)
+    m = entry["m"]
+    if kind == "symmetric":
+        values = tuple(
             auctions.SymmetricValuation(i, [parse_frac(x) for x in levels])
             for i, levels in enumerate(entry["levels"])
         )
-    return entry["m"], vals
+        return auctions.fair_rule(m), values
+    values = tuple(
+        auctions.MPHkValuation.from_dict(i, d) for i, d in enumerate(entry["bids"])
+    )
+    return auctions.config_lp_rule(len(values), m), values
 
 
 def cmd_solve(config: ExperimentConfig) -> list:
-    data = _load_instances(config)
+    kind, entries = _load_instances(config)
     rows = []
-    for idx, entry in enumerate(data["instances"]):
+    for idx, entry in enumerate(entries):
         t0 = time.monotonic()
-        if config.domain == "packing":
-            inst = packing.PackingInstance.from_dict(entry)
-            _, value = packing.solve_packing_lp(inst, packing.truthful_bids(inst))
-        elif config.domain == "flow":
-            inst = flows.FlowInstance.from_dict(entry)
-            _, value = flows.greedy_fractional_flow(
-                inst, flows.truthful_flow_bids(inst)
-            )
-        elif config.domain == "maxtsp":
-            g = maxtsp.CompleteDigraph.from_dict(entry)
-            _, value = maxtsp.max_weight_cycle_cover(g)
-        else:
-            m, vals = _parse_auction_instance(entry, data.get("kind", "mph"))
-            if data.get("kind") == "symmetric":
-                _, value = auctions.solve_cardinality_lp(m, vals)
-            else:
-                _, value = auctions.solve_config_lp(len(vals), m, vals)
+        rule, values = _rule_for(config, kind, entry)
+        value = rule.solve(values)[1]
         rows.append(_mark(ReportRow(f"solve-{idx}", config, {"value": value}), t0))
     return rows
 
 
 def cmd_round(config: ExperimentConfig) -> list:
-    data = _load_instances(config)
+    kind, entries = _load_instances(config)
     rows = []
-    for idx, entry in enumerate(data["instances"]):
+    for idx, entry in enumerate(entries):
         t0 = time.monotonic()
-        if config.domain == "flow":
-            inst = flows.FlowInstance.from_dict(entry)
-            bids = flows.truthful_flow_bids(inst)
-            flow, relaxed = flows.greedy_fractional_flow(inst, bids)
-            eps = config.eps if config.eps is not None else Fraction(1, 10)
-            assignment = flows.rt_round(flow, inst, eps, config.seed)
-            routed = sum(
-                (
-                    inst.requests[i].value
-                    for i, p in enumerate(assignment.paths)
-                    if p is not None
-                ),
-                Fraction(0),
-            )
-            results = {"relaxed": relaxed, "rounded": routed}
-        elif config.domain == "maxtsp":
-            g = maxtsp.CompleteDigraph.from_dict(entry)
-            cover, relaxed = maxtsp.max_weight_cycle_cover(g)
-            tour = maxtsp.fisher_round(cover, g, config.seed)
-            results = {"relaxed": relaxed, "rounded": tour.weight(g)}
-        elif config.domain == "auctions":
-            if data.get("kind") != "symmetric":
-                raise CLIError("rounding needs a symmetric auction instance")
-            m, vals = _parse_auction_instance(entry, "symmetric")
-            xbar, relaxed = auctions.solve_cardinality_lp(m, vals)
-            sizes = auctions.fair_round(xbar, m, config.seed)
-            rounded = sum((v.levels[s] for v, s in zip(vals, sizes)), Fraction(0))
-            results = {"relaxed": relaxed, "rounded": rounded}
-        else:
-            raise CLIError("the packing pipeline has no rounding stage")
+        rule, values = _rule_for(config, kind, entry)
+        if rule.round_stage is None:
+            raise CLIError(f"the {rule.name} rule has no rounding stage")
+        point, relaxed = rule.solve(values)
+        outcome = rule.round_point(point, config.seed)
+        rounded = sum((v.value(outcome) for v in values), Fraction(0))
+        results = {"relaxed": relaxed, "rounded": rounded}
         rows.append(_mark(ReportRow(f"round-{idx}", config, results), t0))
     return rows
 
@@ -534,15 +516,15 @@ def _dynamics_setup(config: ExperimentConfig):
         return packing.integral_rule(ce.instance), ce.values, opt, params
     if config.domain == "auctions":
         m = config.m or 4
-        ce = auctions.gen_symmetric_counterexample(m)
-        opt = auctions.solve_cardinality_lp(m, ce.values)[1]
+        rule = auctions.fair_rule(m)
+        values = auctions.gen_symmetric_counterexample(m).values
         params = compose_smoothness(SmoothnessParams(Fraction(1, 2), 2, HALF_VALUE), 16)
-        return auctions.fair_rule(m), ce.values, opt, params
+        return rule, values, rule.solve(values)[1], params
     g = maxtsp.gen_digraphs(1, config.seed, sizes=(3,))[0]
+    rule = maxtsp.cycle_cover_rule(g)
     values = maxtsp.truthful_edge_bids(g)
-    _, opt = maxtsp.max_weight_cycle_cover(g)
     params = SmoothnessParams(Fraction(1, 2), 3, HALF_VALUE)
-    return maxtsp.cycle_cover_rule(g), values, opt, params
+    return rule, values, rule.solve(values)[1], params
 
 
 def cmd_dynamics(config: ExperimentConfig) -> list:
@@ -587,10 +569,6 @@ HANDLERS = {
 }
 
 
-def cmd_run(config: ExperimentConfig) -> list:
-    return HANDLERS[config.action](config)
-
-
 def write_rows(rows, out: Optional[str]) -> None:
     cells = [row.cells() for row in rows]
     if out is None:
@@ -620,17 +598,27 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="anarchy", description=__doc__)
     p.add_argument("domain", choices=DOMAINS)
     p.add_argument("action", choices=ACTIONS)
     p.add_argument("--instance", help="instance file produced by gen")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, help="constraint sparsity (packing)")
-    p.add_argument("--k", type=int, help="valuation hierarchy level (auctions)")
-    p.add_argument("--m", type=int, help="units/items/market size")
+    p.add_argument("--d", type=_positive_int, help="constraint sparsity (packing)")
+    p.add_argument(
+        "--k", type=_positive_int, help="valuation hierarchy level (auctions)"
+    )
+    p.add_argument("--m", type=_positive_int, help="units/items/market size")
     p.add_argument("--eps", type=parse_frac, help="rounding slack as p/q")
-    p.add_argument("--rounds", type=int, help="learning rounds or trial count")
+    p.add_argument(
+        "--rounds", type=_positive_int, help="learning rounds or trial count"
+    )
     p.add_argument(
         "--grid", type=int, default=2, help="multiplier grid resolution (even)"
     )
@@ -654,7 +642,7 @@ def main(argv=None) -> int:
             grid=args.grid,
             out=args.out,
         )
-        rows = cmd_run(config)
+        rows = HANDLERS[config.action](config)
         write_rows(rows, config.out if config.action != "gen" else None)
     except (CLIError, ValueError, TypeError, RuntimeError, OSError, KeyError) as exc:
         print(f"anarchy: error: {exc}", file=sys.stderr)

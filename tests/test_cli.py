@@ -2,12 +2,13 @@
 
 import csv
 import json
+import shlex
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
-from anarchy import auctions, flows, maxtsp, packing
+from anarchy import auctions, cli, flows, maxtsp, packing
 from anarchy.cli import ExperimentConfig, build_parser, cmd_paper_table, main
 from anarchy.rationals import parse_frac
 
@@ -116,13 +117,6 @@ def test_exit_one_on_bad_out_extension(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_one_on_packing_round(tmp_path, capsys):
-    code, path = run(["packing", "gen", "--rounds", "1"], tmp_path, "p.json")
-    assert code == 0
-    assert main(["packing", "round", "--instance", path]) == 1
-    capsys.readouterr()
-
-
 SUBSET_GUARD = "anarchy: error: subset enumeration is limited to 10 items"
 
 
@@ -130,6 +124,77 @@ def assert_one_line_error(capsys, line):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == [line]
+
+
+def test_exit_one_on_packing_round(tmp_path, capsys):
+    code, path = run(["packing", "gen", "--rounds", "1"], tmp_path, "p.json")
+    assert code == 0
+    assert main(["packing", "round", "--instance", path]) == 1
+    assert_one_line_error(
+        capsys, "anarchy: error: the packing-lp rule has no rounding stage"
+    )
+
+
+def test_exit_one_on_mph_round(tmp_path, capsys):
+    code, path = run(
+        ["auctions", "gen", "--k", "2", "--rounds", "1"], tmp_path, "m.json"
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["auctions", "round", "--instance", path]) == 1
+    assert_one_line_error(
+        capsys, "anarchy: error: the config-lp rule has no rounding stage"
+    )
+
+
+@pytest.mark.parametrize(
+    "payload, line",
+    [
+        ([], "anarchy: error: instance file must hold a JSON object, not list"),
+        ({"domain": "flow"}, "anarchy: error: instance file needs an 'instances' list"),
+        (
+            {"domain": "flow", "instances": {}},
+            "anarchy: error: instance file needs an 'instances' list",
+        ),
+    ],
+)
+def test_exit_one_on_malformed_instance_file(tmp_path, capsys, payload, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["flow", "solve", "--instance", str(path)]) == 1
+    assert_one_line_error(capsys, line)
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["auctions", "dynamics", "--rounds", "0"], "--rounds", "0"),
+        (["flow", "gen", "--rounds", "-2"], "--rounds", "-2"),
+        (["auctions", "check-smoothness", "--m", "0"], "--m", "0"),
+        (["packing", "check-lemma", "--d", "0"], "--d", "0"),
+        (["auctions", "check-lemma", "--k", "0"], "--k", "0"),
+        (["flow", "check-lemma", "--rounds", "two"], "--rounds", "two"),
+    ],
+)
+def test_exit_one_on_non_positive_count(tmp_path, capsys, argv, option, text):
+    target = tmp_path / "rows.json"
+    assert main(argv + ["--out", str(target)]) == 1
+    assert not target.exists()
+    assert_one_line_error(
+        capsys,
+        f"anarchy: error: argument {option}: expected a positive integer, got {text!r}",
+    )
+
+
+def test_gen_checks_out_before_generating(monkeypatch, capsys):
+    def generate(config, count):
+        raise AssertionError("instances generated before --out was checked")
+
+    monkeypatch.setattr(cli, "_gen_payload", generate)
+    assert main(["flow", "gen", "--rounds", "2"]) == 1
+    assert_one_line_error(
+        capsys, "anarchy: error: gen needs --out to know where to write instances"
+    )
 
 
 def test_exit_one_on_config_lp_size_guard_smoothness(capsys):
@@ -288,6 +353,76 @@ def test_round_command_reports_both_stages(tmp_path):
         # dropping one edge per cycle keeps at least half in expectation,
         # single samples can dip below but never below a third here
         assert rounded >= relaxed / 3
+
+
+def flow_round(inst, eps, seed):
+    flow, relaxed = flows.greedy_fractional_flow(inst, flows.truthful_flow_bids(inst))
+    paths = flows.rt_round(flow, inst, eps, seed).paths
+    routed = [r.value for r, p in zip(inst.requests, paths) if p is not None]
+    return relaxed, sum(routed, Fr(0))
+
+
+def maxtsp_round(g, seed):
+    cover, relaxed = maxtsp.max_weight_cycle_cover(g)
+    return relaxed, maxtsp.fisher_round(cover, g, seed).weight(g)
+
+
+def auctions_round(m, vals, seed):
+    xbar, relaxed = auctions.solve_cardinality_lp(m, vals)
+    sizes = auctions.fair_round(xbar, m, seed)
+    return relaxed, sum((v.levels[s] for v, s in zip(vals, sizes)), Fr(0))
+
+
+def direct_rounds(domain, eps, seed):
+    """(relaxed, rounded) per instance gen writes, from the rounders themselves."""
+    if domain == "flow":
+        eps = Fr(1, 10) if eps is None else parse_frac(eps)
+        return [flow_round(i, eps, seed) for i in flows.gen_flow_instances(5, seed)]
+    if domain == "maxtsp":
+        graphs = maxtsp.gen_digraphs(5, seed, sizes=(4, 5))
+        return [maxtsp_round(g, seed) for g in graphs]
+    pairs = auctions.gen_symmetric_instances(5, seed)
+    return [auctions_round(m, vals, seed) for m, vals in pairs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "domain, eps", [("flow", None), ("flow", "1/2"), ("maxtsp", None), ("auctions", None)]
+)
+def test_round_rows_match_the_rounders(tmp_path, domain, eps, seed):
+    code, path = run([domain, "gen", "--seed", str(seed)], tmp_path, "i.json")
+    assert code == 0
+    argv = [domain, "round", "--instance", path, "--seed", str(seed)]
+    if eps is not None:
+        argv += ["--eps", eps]
+    code, out = run(argv, tmp_path, "rows.json")
+    assert code == 0
+    reported = [(parse_frac(r["relaxed"]), parse_frac(r["rounded"])) for r in rows_of(out)]
+    assert reported == direct_rounds(domain, eps, seed)
+
+
+# ------------------------------------------------------------------ README
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """The anarchy command lines of the README's CLI example block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("anarchy ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys):
+    lines = readme_cli_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = [a.replace("/tmp/", f"{tmp_path}/") for a in shlex.split(command)[1:]]
+        expected = 2 if "exits 2" in comment else 0
+        assert main(argv) == expected, line
+        assert capsys.readouterr().err == "", line
 
 
 # ------------------------------------------------------------- row format
