@@ -224,7 +224,10 @@ def _load_instances(config: ExperimentConfig):
         )
     if not isinstance(data.get("instances"), list):
         raise CLIError("instance file needs an 'instances' list")
-    return data.get("kind", "mph"), data["instances"]
+    kind = data.get("kind", "mph")
+    if config.domain == "auctions" and kind not in ("symmetric", "mph"):
+        raise CLIError(f"auctions kind must be 'symmetric' or 'mph', not {kind!r}")
+    return kind, data["instances"]
 
 
 def _gen_payload(config: ExperimentConfig, count: int) -> dict:
@@ -277,30 +280,33 @@ def cmd_gen(config: ExperimentConfig) -> list:
     return [_mark(row, t0)]
 
 
-def _rule_for(config: ExperimentConfig, kind: str, entry: dict):
-    """(rule, truthful values) of one instance entry: the domain's
+def _rule_for(config: ExperimentConfig, kind: str, idx: int, entry: dict):
+    """(rule, truthful values) of instance entry idx: the domain's
     relax-and-round rule, or its relaxation alone where it has no round."""
-    if config.domain == "packing":
-        inst = packing.PackingInstance.from_dict(entry)
-        return packing.lp_rule(inst), packing.truthful_bids(inst)
-    if config.domain == "flow":
-        inst = flows.FlowInstance.from_dict(entry)
-        eps = config.eps if config.eps is not None else Fraction(1, 10)
-        return flows.rt_rule(inst, eps), flows.truthful_flow_bids(inst)
-    if config.domain == "maxtsp":
-        g = maxtsp.CompleteDigraph.from_dict(entry)
-        return maxtsp.fisher_rule(g), maxtsp.truthful_edge_bids(g)
-    m = entry["m"]
-    if kind == "symmetric":
+    try:
+        if config.domain == "packing":
+            inst = packing.PackingInstance.from_dict(entry)
+            return packing.lp_rule(inst), packing.truthful_bids(inst)
+        if config.domain == "flow":
+            inst = flows.FlowInstance.from_dict(entry)
+            eps = config.eps if config.eps is not None else Fraction(1, 10)
+            return flows.rt_rule(inst, eps), flows.truthful_flow_bids(inst)
+        if config.domain == "maxtsp":
+            g = maxtsp.CompleteDigraph.from_dict(entry)
+            return maxtsp.fisher_rule(g), maxtsp.truthful_edge_bids(g)
+        m = entry["m"]
+        if kind == "symmetric":
+            values = tuple(
+                auctions.SymmetricValuation(i, [parse_frac(x) for x in levels])
+                for i, levels in enumerate(entry["levels"])
+            )
+            return auctions.fair_rule(m), values
         values = tuple(
-            auctions.SymmetricValuation(i, [parse_frac(x) for x in levels])
-            for i, levels in enumerate(entry["levels"])
+            auctions.MPHkValuation.from_dict(i, d) for i, d in enumerate(entry["bids"])
         )
-        return auctions.fair_rule(m), values
-    values = tuple(
-        auctions.MPHkValuation.from_dict(i, d) for i, d in enumerate(entry["bids"])
-    )
-    return auctions.config_lp_rule(len(values), m), values
+        return auctions.config_lp_rule(len(values), m), values
+    except KeyError as exc:
+        raise CLIError(f"instance {idx} has no field {exc}") from exc
 
 
 def cmd_solve(config: ExperimentConfig) -> list:
@@ -308,7 +314,7 @@ def cmd_solve(config: ExperimentConfig) -> list:
     rows = []
     for idx, entry in enumerate(entries):
         t0 = time.monotonic()
-        rule, values = _rule_for(config, kind, entry)
+        rule, values = _rule_for(config, kind, idx, entry)
         value = rule.solve(values)[1]
         rows.append(_mark(ReportRow(f"solve-{idx}", config, {"value": value}), t0))
     return rows
@@ -319,7 +325,7 @@ def cmd_round(config: ExperimentConfig) -> list:
     rows = []
     for idx, entry in enumerate(entries):
         t0 = time.monotonic()
-        rule, values = _rule_for(config, kind, entry)
+        rule, values = _rule_for(config, kind, idx, entry)
         if rule.round_stage is None:
             raise CLIError(f"the {rule.name} rule has no rounding stage")
         point, relaxed = rule.solve(values)

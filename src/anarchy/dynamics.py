@@ -190,10 +190,6 @@ def default_eta(grid: StrategyGrid, T: int) -> float:
     return 0.5 * sqrt(log(biggest) / T)
 
 
-def _utility(values, bids, outcome, i) -> Fraction:
-    return values[i].value(outcome) - bids[i].value(outcome)
-
-
 def _in_range(row: list) -> list:
     """The row scaled by a power of two so that its largest weight lies in
     WEIGHT_RANGE."""
@@ -220,6 +216,9 @@ def run_hedge(
     on every multiplier is updated from the utility that multiplier would
     have earned against the sampled opponent bids under the same seed.
     initial_weights optionally biases the starting distributions.
+
+    Utilities and weight factors are computed once per (player, multiplier,
+    outcome), on which alone they depend; the totals are counts times them.
     """
     n = len(values)
     if grid.n != n:
@@ -255,7 +254,8 @@ def run_hedge(
     cache = RelaxationCache(rule)
     rng = Random(seed)
     rounds = []
-    cumulative = [[F0] * len(scaled[i]) for i in range(n)]
+    memo = {}  # (i, s, outcome) -> [utility, weight factor, rounds seen]
+    welfare = {}  # outcome -> welfare
 
     for _ in range(T):
         picks = []
@@ -273,32 +273,39 @@ def run_hedge(
         round_seed = rng.randrange(SEED_SPAN)
         bids = tuple(scaled[i][picks[i]] for i in range(n))
         outcome = cache.outcome(bids, round_seed)
-        utilities = tuple(_utility(values, bids, outcome, i) for i in range(n))
-        welfare = sum((values[i].value(outcome) for i in range(n)), F0)
+        if outcome not in welfare:
+            welfare[outcome] = sum((values[i].value(outcome) for i in range(n)), F0)
 
         for i in range(n):
-            if abs(utilities[i]) > bounds[i]:
-                raise StructuralError("utility escaped its declared bound")
-            for s in range(len(scaled[i])):
+            row = weights[i]
+            for s in range(len(row)):
                 if s == picks[i]:
-                    u = utilities[i]
+                    o = outcome
                 else:
                     dev = bids[:i] + (scaled[i][s],) + bids[i + 1 :]
-                    u = _utility(values, dev, cache.outcome(dev, round_seed), i)
-                if abs(u) > bounds[i]:
-                    raise StructuralError("utility escaped its declared bound")
-                cumulative[i][s] += u
-                if bounds[i] > 0:
-                    weights[i][s] *= exp(eta * float(u / bounds[i]))
-            weights[i] = _in_range(weights[i])
+                    o = cache.outcome(dev, round_seed)
+                entry = memo.get((i, s, o))
+                if entry is None:
+                    u = values[i].value(o) - scaled[i][s].value(o)
+                    if abs(u) > bounds[i]:
+                        raise StructuralError("utility escaped its declared bound")
+                    factor = exp(eta * float(u / bounds[i])) if bounds[i] > 0 else 1.0
+                    entry = memo[i, s, o] = [u, factor, 0]
+                entry[2] += 1
+                row[s] *= entry[1]
+            weights[i] = _in_range(row)
         rounds.append(
             RoundRecord(
                 theta=tuple(grid.thetas[i][picks[i]] for i in range(n)),
                 seed=round_seed,
-                welfare=welfare,
-                utilities=utilities,
+                welfare=welfare[outcome],
+                utilities=tuple(memo[i, picks[i], outcome][0] for i in range(n)),
             )
         )
+
+    cumulative = [[F0] * len(scaled[i]) for i in range(n)]
+    for (i, s, _), (u, _, count) in memo.items():
+        cumulative[i][s] += count * u
 
     return PlayTrace(
         grid=grid,

@@ -47,12 +47,9 @@ def product_support(options) -> list:
     """
     if math.prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
         raise SizeGuardError("rounding support too large to enumerate")
-    out = []
-    for combo in itertools.product(*options):
-        prob = F1
-        for p, _ in combo:
-            prob *= p
-        out.append((prob, tuple(c for _, c in combo)))
+    out = [(F1, ())]
+    for opts in options:
+        out = [(prob * p, choices + (c,)) for prob, choices in out for p, c in opts]
     return out
 
 

@@ -4,18 +4,22 @@ Everything here is deliberately naive: exhaustive enumeration and dense
 Gaussian elimination over Fractions. The point is that none of this code
 shares logic with the package under test. The `*_reference` functions are
 the plain forms of faster package code: the package must return exactly
-what they return. The flow references borrow only the package's containers
-and its sampling helpers, which they do not test.
+what they return. The flow and Hedge references borrow only the package's
+containers, its sampling helpers and Hedge's weight rescaling, which they
+do not test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import exp, gcd
 from random import Random
 
+from anarchy.dynamics import SEED_SPAN, PlayTrace, RoundRecord, _in_range, default_eta
+from anarchy.errors import StructuralError
 from anarchy.flows import PathAssignment, flow_decompose
+from anarchy.mechanism import RelaxationCache
 from anarchy.rationals import bernoulli, weighted_index
 
 F0 = Fraction(0)
@@ -398,6 +402,18 @@ def smoothness_by_support(rule, value_grid, bid_grid, lam, mu, deviation):
     }
 
 
+def product_support_reference(options):
+    """(probability, choices) of independent draws, each probability a fresh
+    product over the combination, in itertools.product order."""
+    out = []
+    for combo in product(*options):
+        prob = Fraction(1)
+        for p, _ in combo:
+            prob *= p
+        out.append((prob, tuple(c for _, c in combo)))
+    return out
+
+
 def _fair_options(xbar, m, coin):
     """Per player [(probability, size)]: the coin keeps sizes up to m // 2 on
     heads (0) and the rest on tails, a quarter of each kept weight is drawn,
@@ -514,3 +530,83 @@ def replay_cumulative(rule, values, trace):
                 outcome = rule.allocate(tuple(dev), record.seed)
                 totals[i][s] += values[i].value(outcome) - dev[i].value(outcome)
     return tuple(tuple(row) for row in totals)
+
+
+def run_hedge_reference(rule, values, grid, T, eta=None, seed=0, initial_weights=None):
+    """run_hedge as it was before its utility memo: every deviation's utility
+    and weight factor recomputed in Fractions every round.
+
+    Arguments are taken as valid; the package's run_hedge checks them.
+    """
+    n = len(values)
+    if eta is None:
+        eta = default_eta(grid, T)
+    scaled = [[values[i].scale(t) for t in grid.thetas[i]] for i in range(n)]
+    bounds = [values[i].best_case() for i in range(n)]
+    weights = [
+        [float(w) for w in initial_weights[i]]
+        if initial_weights is not None
+        else [1.0] * len(scaled[i])
+        for i in range(n)
+    ]
+    weights = [_in_range(row) for row in weights]
+
+    def utility(bids, outcome, i):
+        return values[i].value(outcome) - bids[i].value(outcome)
+
+    cache = RelaxationCache(rule)
+    rng = Random(seed)
+    rounds = []
+    cumulative = [[F0] * len(scaled[i]) for i in range(n)]
+
+    for _ in range(T):
+        picks = []
+        for i in range(n):
+            total = sum(weights[i])
+            mark = rng.random() * total
+            acc = 0.0
+            chosen = len(weights[i]) - 1
+            for s, w in enumerate(weights[i]):
+                acc += w
+                if mark < acc:
+                    chosen = s
+                    break
+            picks.append(chosen)
+        round_seed = rng.randrange(SEED_SPAN)
+        bids = tuple(scaled[i][picks[i]] for i in range(n))
+        outcome = cache.outcome(bids, round_seed)
+        utilities = tuple(utility(bids, outcome, i) for i in range(n))
+        welfare = sum((values[i].value(outcome) for i in range(n)), F0)
+
+        for i in range(n):
+            if abs(utilities[i]) > bounds[i]:
+                raise StructuralError("utility escaped its declared bound")
+            for s in range(len(scaled[i])):
+                if s == picks[i]:
+                    u = utilities[i]
+                else:
+                    dev = bids[:i] + (scaled[i][s],) + bids[i + 1 :]
+                    u = utility(dev, cache.outcome(dev, round_seed), i)
+                if abs(u) > bounds[i]:
+                    raise StructuralError("utility escaped its declared bound")
+                cumulative[i][s] += u
+                if bounds[i] > 0:
+                    weights[i][s] *= exp(eta * float(u / bounds[i]))
+            weights[i] = _in_range(weights[i])
+        rounds.append(
+            RoundRecord(
+                theta=tuple(grid.thetas[i][picks[i]] for i in range(n)),
+                seed=round_seed,
+                welfare=welfare,
+                utilities=utilities,
+            )
+        )
+
+    return PlayTrace(
+        grid=grid,
+        eta=eta,
+        seed=seed,
+        rounds=tuple(rounds),
+        cumulative=tuple(tuple(row) for row in cumulative),
+        rule_name=rule.name,
+    )

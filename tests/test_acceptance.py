@@ -303,7 +303,7 @@ def test_12_hedge_on_fair_rounding():
     assert report.ratio is not None and report.ratio <= 64
     holds, lhs, rhs = dynamics.check_trace_smoothness(trace, values, params, opt)
     assert holds, (lhs, rhs)
-    stamp("12 hedge-fair-rounding", t0, budget=600)
+    stamp("12 hedge-fair-rounding", t0, budget=120)
 
 
 def test_13_rounding_is_oblivious():

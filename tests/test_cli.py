@@ -266,6 +266,41 @@ def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("anarchy: error: ")
 
 
+@pytest.mark.parametrize(
+    "domain, payload, line",
+    [
+        (
+            "flow",
+            {"domain": "flow", "instances": [{}]},
+            "anarchy: error: instance 0 has no field 'vertices'",
+        ),
+        (
+            "auctions",
+            {
+                "domain": "auctions",
+                "kind": "symmetric",
+                "instances": [{"m": 1, "levels": [["0", "1"]]}, {"m": 1}],
+            },
+            "anarchy: error: instance 1 has no field 'levels'",
+        ),
+        (
+            "auctions",
+            {
+                "domain": "auctions",
+                "kind": "symetric",
+                "instances": [{"m": 1, "levels": [["0", "1"]]}],
+            },
+            "anarchy: error: auctions kind must be 'symmetric' or 'mph', not 'symetric'",
+        ),
+    ],
+)
+def test_exit_one_on_malformed_instance_entry(tmp_path, capsys, domain, payload, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([domain, "solve", "--instance", str(path)]) == 1
+    assert_one_line_error(capsys, line)
+
+
 # -------------------------------------------------------------- round trip
 
 

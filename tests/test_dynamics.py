@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction as Fr
+from functools import cache
 from math import log, sqrt
 from random import Random
 
@@ -37,7 +38,7 @@ from anarchy.mechanism import (
     Valuation,
     compose_smoothness,
 )
-from oracles import replay_cumulative
+from oracles import replay_cumulative, run_hedge_reference
 
 
 def single_item_values(*amounts):
@@ -152,6 +153,36 @@ def test_cumulative_counters_match_recomputation():
                 out = rule.allocate(tuple(bids), rec.seed)
                 total += values[i].value(out) - bids[i].value(out)
             assert trace.cumulative[i][s] == total
+
+
+def test_hedge_trace_matches_the_per_round_reference():
+    # the utility memo must leave every pick, seed, utility and total as the
+    # per-round Fraction loop had them: on fair rounding at the test_12
+    # values, from starts far above the rescaling range, and at a learning
+    # rate near the overflow cap, where weights are rescaled most rounds
+    fair_values = tuple(
+        SymmetricValuation(i, levels)
+        for i, levels in enumerate(
+            ((0, 1, 1, 1, 1), (0, 1, 1, 1, 1), (0, 1, 2, 2, 2), (0, 0, 0, 0, 3))
+        )
+    )
+    fair = (fair_rule(4), fair_values, StrategyGrid.uniform(4, 2))
+    duo = (SymmetricValuation(0, (0, 1)), SymmetricValuation(1, (0, 2)))
+    fine = StrategyGrid.uniform(2, 4)
+    first_price = (first_price_rule(2), duo, fine)
+    cases = [(*fair, 300, {"seed": seed}) for seed in (0, 7, 12)]
+    for concentration in (1e200, 1e300):
+        start = biased_weights(fine, (0, 1), concentration)
+        cases.append((*first_price, 200, {"seed": 5, "initial_weights": start}))
+    cases.append((*first_price, 200, {"seed": 6, "eta": 363.0}))
+    cases.append((*fair, 60, {"seed": 3, "eta": 360.0}))
+    for rule, values, grid, T, kwargs in cases:
+        trace = run_hedge(rule, values, grid, T, **kwargs)
+        reference = run_hedge_reference(rule, values, grid, T, **kwargs)
+        assert trace.to_dict() == reference.to_dict()
+        # the replay re-rounds every deviation; only the solve is shared
+        replayed = replay_cumulative(replace(rule, solve=cache(rule.solve)), values, trace)
+        assert trace.cumulative == replayed
 
 
 def test_hedge_validation():

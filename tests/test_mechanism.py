@@ -12,6 +12,7 @@ from anarchy.errors import SizeGuardError, StructuralError
 from anarchy.flows import gen_flow_instances, rt_rule, truthful_flow_bids
 from anarchy.maxtsp import fisher_rule, gen_digraphs, truthful_edge_bids
 from anarchy.mechanism import (
+    EXACT_SUPPORT_LIMIT,
     GENERAL,
     HALF_VALUE,
     AllocationRule,
@@ -20,13 +21,14 @@ from anarchy.mechanism import (
     compose_smoothness,
     expected_run,
     poa_from_smoothness,
+    product_support,
     run_pay_your_bid,
     scaled_bid_profiles,
     theta_grid,
     verify_pure_nash,
 )
 from anarchy.rationals import F0, F1, frac
-from oracles import smoothness_by_support
+from oracles import product_support_reference, smoothness_by_support
 
 H = Fraction(1, 2)
 
@@ -290,6 +292,26 @@ def test_theta_grid_contents():
     assert g == (0, Fraction(1, 4), H, Fraction(3, 4), 1)
     with pytest.raises(StructuralError):
         theta_grid(0)
+
+
+def test_product_support_matches_the_per_combination_reference():
+    # prefix products keep itertools.product's order and its exact Fractions
+    rng = Random(41)
+    cases = [[], [[]], [[(F1, "a")], []]]
+    for _ in range(30):
+        draws = []
+        for _ in range(rng.randrange(1, 5)):
+            weights = [rng.randrange(1, 9) for _ in range(rng.randrange(1, 4))]
+            draws.append(
+                [(Fraction(w, sum(weights)), (len(draws), j)) for j, w in enumerate(weights)]
+            )
+        cases.append(draws)
+    for options in cases:
+        assert product_support(options) == product_support_reference(options)
+    # more combinations than the limit are refused
+    too_many = [[(F1, 0)] * 2] * (EXACT_SUPPORT_LIMIT.bit_length() + 1)
+    with pytest.raises(SizeGuardError):
+        product_support(too_many)
 
 
 def test_scaled_bid_profiles_cover_product():
