@@ -330,7 +330,7 @@ class CardinalityLPSolution:
                 raise StructuralError("allocations are nonnegative")
             if sum(row) > 1:
                 raise StructuralError("a player receives at most one size in total")
-            total += sum((Fraction(j + 1) * row[j] for j in range(m)), F0)
+            total += sum(((j + 1) * v for j, v in enumerate(row) if v), F0)
         if total > m:
             raise StructuralError("total item mass exceeds the supply")
         object.__setattr__(self, "m", m)
@@ -341,15 +341,20 @@ class CardinalityLPSolution:
         return len(self.x)
 
     @cached_property
+    def size_options(self) -> tuple:
+        """For each coin, for each player, the [(probability, size)] options
+        of fair rounding's draw; the exact support reads only these."""
+        return tuple(
+            tuple(map(_size_options, _halved(self, coin))) for coin in (0, 1)
+        )
+
+    @cached_property
     def rounding_table(self) -> tuple:
         """Fair rounding compiled once per point: for each coin, for each
         player, (size options, their integer_weights)."""
         return tuple(
-            tuple(
-                (opts, integer_weights([p for p, _ in opts]))
-                for opts in map(_size_options, _halved(self, coin))
-            )
-            for coin in (0, 1)
+            tuple((opts, integer_weights([p for p, _ in opts])) for opts in coin)
+            for coin in self.size_options
         )
 
     def welfare(self, bids) -> Fraction:
@@ -362,11 +367,11 @@ def _require_symmetric(bids) -> None:
             raise PreconditionError("this operation needs symmetric bids")
 
 
-def _cardinality_instance(bids) -> tuple:
-    """Symmetric bids as a multi-unit packing program, (instance, option bids)."""
+def _cardinality_instance(m: int, bids) -> tuple:
+    """Symmetric bids as an m-unit packing program, (instance, option bids)."""
     _check_auction_bids(bids)
     _require_symmetric(bids)
-    inst = multiunit_instance([b.levels[1:] for b in bids])
+    inst = multiunit_instance([b.levels[1:] for b in bids], m)
     return inst, truthful_bids(inst)
 
 
@@ -376,14 +381,14 @@ def solve_cardinality_lp(m: int, bids):
     This is the one-row packing relaxation with row (1, ..., m) and
     capacity m, solved by the packing module.
     """
-    alloc, value = solve_packing_lp(*_cardinality_instance(bids))
+    alloc, value = solve_packing_lp(*_cardinality_instance(m, bids))
     return CardinalityLPSolution(m, alloc.x), value
 
 
 def solve_cardinality_integral(m: int, bids):
     """Best integral allocation of sizes, (R tuple, value); ties prefer
     giving nothing, then smaller sizes to earlier players."""
-    alloc, value = solve_packing_integral(*_cardinality_instance(bids))
+    alloc, value = solve_packing_integral(*_cardinality_instance(m, bids))
     return tuple(alloc.choices()), value
 
 
@@ -471,8 +476,7 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
         raise StructuralError("solution was computed for a different supply")
     acc = {}
     for coin in (0, 1):
-        options = [opts for opts, _ in xbar.rounding_table[coin]]
-        for prob, draws in product_support(options):
+        for prob, draws in product_support(xbar.size_options[coin]):
             if prob == 0:
                 continue
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)

@@ -327,13 +327,17 @@ def greedy_fractional_flow(inst: FlowInstance, bids):
 def check_fractional_flow(inst: FlowInstance, flow: FractionalFlow) -> None:
     """Conservation, joint capacity, and demand caps; raises StructuralError."""
     edges = inst.graph.edges
+    load = [F0] * len(edges)
     for i, req in enumerate(inst.requests):
         net = [F0] * inst.graph.num_vertices
         for e, amt in enumerate(flow.edge_flows[i]):
+            if not amt:
+                continue
             if amt < 0:
                 raise StructuralError("negative edge flow")
             net[edges[e][0]] -= amt
             net[edges[e][1]] += amt
+            load[e] += amt
         for v in range(inst.graph.num_vertices):
             if v == inst.source or v == req.sink:
                 continue
@@ -343,9 +347,8 @@ def check_fractional_flow(inst: FlowInstance, flow: FractionalFlow) -> None:
             raise StructuralError(f"player {i} delivery mismatch")
         if flow.routed[i] > req.demand:
             raise StructuralError(f"player {i} exceeds its demand")
-    for e in range(len(edges)):
-        load = sum((flow.edge_flows[i][e] for i in range(inst.n)), F0)
-        if load > edges[e][2]:
+    for e, (_, _, cap) in enumerate(edges):
+        if load[e] > cap:
             raise StructuralError(f"edge {e} over capacity")
 
 

@@ -256,8 +256,12 @@ def expected_run(
     gross = [F0] * n
     for p, outcome in outcomes:
         for i in range(n):
-            payments[i] += p * bids[i].value(outcome)
-            gross[i] += p * values[i].value(outcome)
+            paid = bids[i].value(outcome)
+            if paid:
+                payments[i] += p * paid
+            got = values[i].value(outcome)
+            if got:
+                gross[i] += p * got
     utilities = tuple(g - q for g, q in zip(gross, payments))
     return ExpectedRun(tuple(payments), utilities, sum(gross, F0), exact)
 
@@ -336,7 +340,7 @@ def check_smoothness(
 
         searched = bid_grid if params.deviation == GENERAL else ()
         candidates = [
-            list(dict.fromkeys([v.scale(HALF)] + [p[i] for p in searched]))
+            list(dict.fromkeys([p[i] for p in searched] + [v.scale(HALF)]))
             for i, v in enumerate(values)
         ]
         for bi, bids in enumerate(bid_grid):

@@ -334,7 +334,7 @@ def check_feasible(inst: PackingInstance, x) -> None:
             raise PreconditionError("a player exceeds one option in total")
     for l in range(inst.L):
         load = sum(
-            (inst.rows[l][i][k] * x[i][k] for i in range(inst.n) for k in range(inst.K)),
+            (a * v for row, xi in zip(inst.rows[l], x) for a, v in zip(row, xi) if v),
             F0,
         )
         if load > inst.capacities[l]:
@@ -370,7 +370,7 @@ def residual_loss(inst: PackingInstance, bids, xbar) -> tuple:
     lhs = F0
     for i in range(inst.n):
         left = tuple(
-            c - sum((row[i][k] * xbar[i][k] for k in range(inst.K)), F0)
+            c - sum((a * v for a, v in zip(row[i], xbar[i]) if v), F0)
             for c, row in zip(inst.capacities, inst.rows)
         )
         without = residual_welfare(inst, bids, i, inst.capacities)
@@ -411,11 +411,12 @@ def integral_rule(inst: PackingInstance) -> AllocationRule:
     )
 
 
-def multiunit_instance(values) -> PackingInstance:
-    """Multi-unit auction: option k-1 stands for winning k of m identical units."""
-    n = len(values)
-    m = len(values[0])
-    row = [[[Fraction(k + 1) for k in range(m)] for _ in range(n)]]
+def multiunit_instance(values, m: int) -> PackingInstance:
+    """Multi-unit auction: option k-1 stands for winning k of m identical units.
+
+    m is given rather than read off a row, so an auction without bidders is
+    still m units."""
+    row = [[[Fraction(k + 1) for k in range(m)] for _ in values]]
     return PackingInstance(values, row, [Fraction(m)])
 
 
@@ -435,7 +436,7 @@ def gen_multiunit_counterexample(m: int) -> Counterexample:
     big = [F0] * (m - 1) + [Fraction(2)]
     values.append(list(big))
     values.append(list(big))
-    inst = multiunit_instance(values)
+    inst = multiunit_instance(values, m)
     vals = truthful_bids(inst)
     bids = tuple(
         OptionValuation(i, (F0,) * m) if i < m else vals[i] for i in range(m + 2)
@@ -497,7 +498,7 @@ def gen_instances(kind: str, count: int, seed: int, **dims) -> list:
             values = [
                 sorted(_rand_value(rng) for _ in range(m)) for _ in range(n)
             ]
-            out.append(multiunit_instance(values))
+            out.append(multiunit_instance(values, m))
         elif kind == "gap":
             n, K, L = dims["n"], dims["K"], dims["L"]
             values = [[_rand_value(rng) for _ in range(K)] for _ in range(n)]

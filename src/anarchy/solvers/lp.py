@@ -218,5 +218,5 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for r, col in enumerate(basis):
         if col < n:
             x[col] = Fraction(tableau[r][-1], det)
-    value = sum((c * v for c, v in zip(lp.objective, x)), F0)
+    value = sum((c * v for c, v in zip(lp.objective, x) if v), F0)
     return LPSolution(OPTIMAL, tuple(x), value)

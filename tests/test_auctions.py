@@ -345,6 +345,41 @@ def test_symmetric_value_dispatch():
     assert v.value(cfg) == v.value(xbar)
 
 
+@pytest.mark.parametrize(
+    "m, rows, message",
+    [
+        (2, ((0, 0), (0, 0, 1)), "one variable per cardinality required"),
+        (3, ((0, 0, 0), (0, -Fr(1, 2), 0)), "allocations are nonnegative"),
+        (
+            3,
+            ((0, 0, 0), (Fr(1, 2), 0, Fr(3, 4))),
+            "a player receives at most one size in total",
+        ),
+        # each row and the unweighted total fit; only sizes push it past m
+        (2, ((0, 1), (0, 1)), "total item mass exceeds the supply"),
+        (2, ((0, 1), (1, 0)), "total item mass exceeds the supply"),
+    ],
+)
+def test_cardinality_solution_rejects_each_violation(m, rows, message):
+    with pytest.raises(StructuralError) as err:
+        CardinalityLPSolution(m, rows)
+    assert str(err.value) == message
+
+
+def test_cardinality_solution_accepts_the_whole_supply():
+    for rows in (((1, 0), (1, 0)), ((0, Fr(1, 2)), (0, Fr(1, 2))), ((0, 0), (0, 1))):
+        xbar = CardinalityLPSolution(2, rows)
+        assert xbar.x == tuple(tuple(map(Fr, r)) for r in rows)
+
+
+def test_cardinality_lp_without_bidders():
+    xbar, value = solve_cardinality_lp(2, ())
+    assert (xbar, value) == (CardinalityLPSolution(2, ()), 0)
+    assert fair_round(xbar, 2, 5) == ()
+    assert fair_round_support(xbar, 2) == [(1, ())]
+    assert solve_cardinality_integral(2, ()) == ((), 0)
+
+
 def test_cardinality_lp_equals_config_lp_for_symmetric_bids():
     for m, values in gen_symmetric_instances(20, 31, max_players=3, max_items=4):
         _, by_sets = solve_config_lp(len(values), m, values)
@@ -474,6 +509,15 @@ def test_compiled_fair_round_matches_the_per_call_reference():
             assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
         reference = fair_round_support_reference(xbar, m)
         assert fair_round_support(xbar, m) == [(p, r) for r, p in reference]
+
+
+def test_exact_support_builds_no_draw_table():
+    for xbar, m in compiled_draw_points():
+        reference = fair_round_support_reference(xbar, m)
+        assert fair_round_support(xbar, m) == [(p, r) for r, p in reference]
+        assert "rounding_table" not in xbar.__dict__
+        for seed in range(20):
+            assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
 
 
 def test_equal_symmetric_bids_hash_alike_and_share_cache_entries():

@@ -352,6 +352,19 @@ def test_gen_solve_round_trip_auctions(tmp_path):
         assert parse_frac(row["value"]) == auctions.solve_cardinality_lp(m, vals)[1]
 
 
+def test_symmetric_auction_without_bidders(tmp_path):
+    entry = {"m": 2, "levels": []}
+    payload = {"domain": "auctions", "kind": "symmetric", "instances": [entry]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(["auctions", "solve", "--instance", str(path)], tmp_path, "s.json")
+    assert code == 0
+    assert [r["value"] for r in rows_of(out)] == ["0"]
+    code, out = run(["auctions", "round", "--instance", str(path)], tmp_path, "r.json")
+    assert code == 0
+    assert [(r["relaxed"], r["rounded"]) for r in rows_of(out)] == [("0", "0")]
+
+
 def test_gen_solve_round_trip_mph(tmp_path):
     code, path = run(
         ["auctions", "gen", "--k", "2", "--rounds", "3", "--seed", "5"],

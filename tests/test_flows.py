@@ -153,6 +153,48 @@ def test_greedy_matches_path_lp_random():
         assert welfare == solve_path_lp(inst, bids)
 
 
+def two_route_instance():
+    """Two players with sink 2, reached by 0-1-2 (edges 0, 1) and 0-3-2
+    (edges 2, 3), every capacity 1; player 0 demands 1, player 1 a half."""
+    g = CapacitatedDigraph(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 1)])
+    return FlowInstance(g, 0, [(2, 1, 1), (2, H, 1)])
+
+
+ZERO_ROUTE = (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "edge_flows, routed, message",
+    [
+        (((0, 0, -H, 0), ZERO_ROUTE), (0, 0), "negative edge flow"),
+        (((H, 0, 0, 0), ZERO_ROUTE), (0, 0), "player 0 violates conservation at 1"),
+        (((0, 0, H, H), ZERO_ROUTE), (1, 0), "player 0 delivery mismatch"),
+        ((ZERO_ROUTE, (0, 0, 1, 1)), (0, 1), "player 1 exceeds its demand"),
+        (
+            ((0, 0, Fraction(3, 4), Fraction(3, 4)), (0, 0, H, H)),
+            (Fraction(3, 4), H),
+            "edge 2 over capacity",
+        ),
+    ],
+)
+def test_check_fractional_flow_rejects_each_violation(edge_flows, routed, message):
+    inst = two_route_instance()
+    flow = FractionalFlow(
+        inst,
+        tuple(tuple(Fraction(a) for a in row) for row in edge_flows),
+        tuple(Fraction(r) for r in routed),
+    )
+    with pytest.raises(StructuralError) as err:
+        check_fractional_flow(inst, flow)
+    assert str(err.value) == message
+
+
+def test_check_fractional_flow_accepts_a_load_equal_to_capacity():
+    inst = two_route_instance()
+    route = (F0, F0, H, H)
+    check_fractional_flow(inst, FractionalFlow(inst, (route, route), (H, H)))
+
+
 # ------------------------------------------------------------ decomposition
 
 

@@ -51,7 +51,7 @@ def proposition_instance(m):
 
 
 def test_multiunit_structure():
-    inst = multiunit_instance([[1, 2], [1, 1], [0, 3]])
+    inst = multiunit_instance([[1, 2], [1, 1], [0, 3]], 2)
     assert inst.n == 3 and inst.K == 2 and inst.L == 1
     assert inst.rows[0][0] == (1, 2)
     assert inst.capacities == (2,)
