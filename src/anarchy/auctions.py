@@ -8,11 +8,12 @@ many items a player gets, making its two natural relaxations interchangeable
 and the cardinality one a one-row packing program.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import comb
+from itertools import accumulate, combinations
+from math import comb, gcd, lcm
 from random import Random
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
@@ -31,10 +32,10 @@ from .packing import (
     solve_packing_lp,
     truthful_bids,
 )
-from .rationals import F0, F1, HALF, frac, frac_str, integer_weights, parse_frac
-from .rationals import weighted_index
+from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 
-# unused here; kept while bench/tests/test_bench.py expects this binding
+# unused here; kept while bench/tests/test_bench.py expects these bindings
+from .rationals import weighted_index  # noqa: F401
 from .solvers import solve_lp  # noqa: F401
 
 ITEM_LIMIT = 10  # subset enumeration guard for the configuration LP
@@ -350,12 +351,24 @@ class CardinalityLPSolution:
 
     @cached_property
     def rounding_table(self) -> tuple:
-        """Fair rounding compiled once per point: for each coin, for each
-        player, (size options, their integer_weights)."""
-        return tuple(
-            tuple((opts, integer_weights([p for p, _ in opts])) for opts in coin)
-            for coin in self.size_options
-        )
+        """Fair rounding compiled once per point, in integers: for each coin,
+        for each player, (sizes, cumulative weights, their total D).
+
+        Size j + 1 weighs q/4 and size 0, listed last, the rest; D is the lcm
+        of the reduced denominators of the q/4, the scale integer_weights
+        takes for size_options, so a draw makes the same randrange(D) call.
+        """
+        table = []
+        for coin in (0, 1):
+            players = []
+            for row in _halved(self, coin):
+                kept = [(j + 1, q) for j, q in enumerate(row) if q > 0]
+                # q/4 = n/(4d) has the reduced denominator 4d / gcd(n, 4)
+                total = lcm(*(4 * q.denominator // gcd(q.numerator, 4) for _, q in kept))
+                cum = accumulate(q.numerator * total // (4 * q.denominator) for _, q in kept)
+                players.append(([j for j, _ in kept] + [0], [*cum, total], total))
+            table.append(tuple(players))
+        return tuple(table)
 
     def welfare(self, bids) -> Fraction:
         return sum((b.value(self) for b in bids), F0)
@@ -457,13 +470,18 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
 
     A fair coin keeps either the small or the large sizes. Each player then
     independently draws size j with a quarter of the kept weight. If the
-    draws oversubscribe the supply, everyone gets nothing.
+    draws oversubscribe the supply, everyone gets nothing. The coin is one
+    randrange(2); each size is one randrange(D) bisected into the point's
+    rounding_table, the same calls and sizes as weighted_index over
+    size_options.
     """
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
     rng = Random(seed)
-    table = xbar.rounding_table[rng.randrange(2)]
-    draws = tuple(opts[weighted_index(rng, ints)][1] for opts, ints in table)
+    draws = tuple(
+        sizes[bisect_right(cum, rng.randrange(total))]
+        for sizes, cum, total in xbar.rounding_table[rng.randrange(2)]
+    )
     if sum(draws) <= m:
         return draws
     return tuple(0 for _ in draws)

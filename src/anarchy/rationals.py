@@ -7,7 +7,9 @@ floats appear only in the learning-dynamics fast path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from random import Random
 
@@ -74,19 +76,8 @@ def integer_weights(weights) -> list:
 
 
 def weighted_index(rng: Random, weights) -> int:
-    """Exact draw of an index with probability proportional to its weight.
-
-    A list of ints is taken as already scaled (see integer_weights); its
-    lcm is 1, so the draw consumes the same random bits either way.
-    """
-    ints = weights
-    scaled = isinstance(weights, list) and all(type(w) is int for w in weights)
-    if not scaled or min(weights, default=0) < 0 or not any(weights):
-        ints = integer_weights(weights)  # scales, or raises the ValueError
-    t = rng.randrange(sum(ints))
-    acc = 0
-    for i, w in enumerate(ints):
-        acc += w
-        if t < acc:
-            return i
-    raise AssertionError("unreachable")
+    """Exact draw of an index with probability proportional to its weight:
+    one randrange over the integer_weights total, bisected into their
+    running sums."""
+    cum = list(accumulate(integer_weights(weights)))
+    return bisect_right(cum, rng.randrange(cum[-1]))

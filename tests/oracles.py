@@ -5,8 +5,9 @@ Gaussian elimination over Fractions. The point is that none of this code
 shares logic with the package under test. The `*_reference` functions are
 the plain forms of faster package code: the package must return exactly
 what they return. The flow and Hedge references borrow only the package's
-containers, its sampling helpers and Hedge's weight rescaling, which they
-do not test.
+containers, its coin flip and Hedge's weight rescaling, which they do not
+test. `enumerate_draws` turns any seeded sampler into its exact
+distribution, to hold against the package's support enumerators.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import exp, gcd
 from random import Random
+from types import SimpleNamespace
 
 from anarchy.dynamics import SEED_SPAN, PlayTrace, RoundRecord, _in_range, default_eta
 from anarchy.errors import StructuralError
 from anarchy.flows import PathAssignment, flow_decompose
 from anarchy.mechanism import RelaxationCache
-from anarchy.rationals import bernoulli, weighted_index
+from anarchy.maxtsp import HamiltonianCycle
+from anarchy.rationals import bernoulli
 
 F0 = Fraction(0)
 
@@ -414,6 +417,82 @@ def product_support_reference(options):
     return out
 
 
+class _ScriptedRandom:
+    """Stands in for random.Random inside enumerate_draws: randrange(k)
+    returns the walked branch's next choice, and records k on a first
+    visit. Every instance reads the branch from its start."""
+
+    def __init__(self, walk, seed=None):
+        walk.seeds.add(seed)
+        self.walk = walk
+        self.depth = 0
+
+    def randrange(self, k):
+        path, depth = self.walk.path, self.depth
+        if depth == len(path):
+            path.append([0, k])
+        elif path[depth][1] != k:
+            raise AssertionError("one branch drew from two different ranges")
+        self.depth += 1
+        self.walk.deepest = max(self.walk.deepest, self.depth)
+        return path[depth][0]
+
+
+def enumerate_draws(fn, *modules, limit=10**5):
+    """Exact distribution {result: probability} of fn() over its random calls.
+
+    Each module's Random is replaced by a scripted one while fn runs, so
+    every randrange(k) branches over 0..k-1 with weight 1/k, depth first:
+    enumeration inference over a sampler's choices (Goodman and
+    Stuhlmueller, The Design and Implementation of Probabilistic
+    Programming Languages). Every Random built in one run replays the same
+    choices, as Random(seed) does for one seed, so a sampler and its
+    reference run side by side see the same draws. Two seeds in one run,
+    any other Random method, or more than `limit` branches raise.
+    """
+    walk = SimpleNamespace(path=[])  # [choice, k] per randrange call
+    saved = [m.Random for m in modules]
+    for m in modules:
+        m.Random = lambda seed=None: _ScriptedRandom(walk, seed)
+    out = {}
+    try:
+        for _ in range(limit):
+            walk.seeds, walk.deepest = set(), 0
+            result = fn()
+            if len(walk.seeds) > 1 or walk.deepest != len(walk.path):
+                raise AssertionError("the run did not replay its branch")
+            branches = 1
+            for _, k in walk.path:
+                branches *= k
+            out[result] = out.get(result, F0) + Fraction(1, branches)
+            while walk.path and walk.path[-1][0] + 1 == walk.path[-1][1]:
+                walk.path.pop()
+            if not walk.path:
+                return out
+            walk.path[-1][0] += 1
+    finally:
+        for m, original in zip(modules, saved):
+            m.Random = original
+    raise AssertionError(f"more than {limit} branches")
+
+
+def _draw_index(rng, weights):
+    """Index drawn in proportion to rational weights: scale them by the lcm
+    of their denominators, call randrange once over the integer total, and
+    scan for the index whose share holds the draw."""
+    weights = [Fraction(w) for w in weights]
+    scale = 1
+    for w in weights:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    ints = [int(w * scale) for w in weights]
+    t = rng.randrange(sum(ints))
+    k = 0
+    while t >= ints[k]:
+        t -= ints[k]
+        k += 1
+    return k
+
+
 def _fair_options(xbar, m, coin):
     """Per player [(probability, size)]: the coin keeps sizes up to m // 2 on
     heads (0) and the rest on tails, a quarter of each kept weight is drawn,
@@ -436,16 +515,7 @@ def fair_round_reference(xbar, m, seed):
     rng = Random(seed)
     draws = []
     for opts in _fair_options(xbar, m, rng.randrange(2)):
-        scale = 1
-        for p, _ in opts:
-            scale = scale * p.denominator // gcd(scale, p.denominator)
-        ints = [int(p * scale) for p, _ in opts]
-        t = rng.randrange(sum(ints))
-        k = 0
-        while t >= ints[k]:
-            t -= ints[k]
-            k += 1
-        draws.append(opts[k][1])
+        draws.append(opts[_draw_index(rng, [p for p, _ in opts])][1])
     return tuple(draws) if sum(draws) <= m else tuple(0 for _ in draws)
 
 
@@ -464,6 +534,30 @@ def fair_round_support_reference(xbar, m):
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
             acc[outcome] = acc.get(outcome, F0) + prob
     return sorted(acc.items())
+
+
+def fisher_round_reference(cover, seed):
+    """Tour rounding walked on the successor map: each cycle, taken from its
+    smallest vertex, loses the edge out of the vertex one randrange over its
+    length steps to; what is left runs from that edge's head to its tail,
+    and the paths are joined in order of their first vertex."""
+    rng = Random(seed)
+    succ, seen, paths = cover.succ, set(), []
+    for start in range(len(succ)):
+        if start in seen:
+            continue
+        length, v = 1, succ[start]
+        while v != start:
+            length, v = length + 1, succ[v]
+        tail = start
+        for _ in range(rng.randrange(length)):
+            tail = succ[tail]
+        path = [succ[tail]]
+        while path[-1] != tail:
+            path.append(succ[path[-1]])
+        seen.update(path)
+        paths.append(path)
+    return HamiltonianCycle([v for path in sorted(paths) for v in path])
 
 
 def alter_to_feasible_reference(inst, flow, paths):
@@ -503,7 +597,7 @@ def rt_round_reference(flow, inst, epsilon, seed):
         p_route = flow.routed[i] / ((1 + epsilon) * req.demand)
         if flow.routed[i] > 0 and bernoulli(rng, p_route):
             pieces = flow_decompose(flow, i)
-            k = weighted_index(rng, [amt for _, amt in pieces])
+            k = _draw_index(rng, [amt for _, amt in pieces])
             paths.append(pieces[k][0])
         else:
             paths.append(None)

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from anarchy import auctions
 from anarchy.auctions import (
     CardinalityLPSolution,
     ConfigLPSolution,
@@ -32,6 +33,7 @@ from anarchy.auctions import (
     translate_to_cardinality,
     translate_to_config,
 )
+from anarchy.dynamics import StrategyGrid, run_hedge
 from anarchy.errors import PreconditionError, SizeGuardError, StructuralError
 from anarchy.mechanism import (
     HALF_VALUE,
@@ -42,8 +44,10 @@ from anarchy.mechanism import (
     verify_pure_nash,
 )
 from anarchy.packing import residual_welfare
+from anarchy.rationals import integer_weights
 
 from oracles import (
+    enumerate_draws,
     fair_round_reference,
     fair_round_support_reference,
     lp_opt_by_vertex_enum,
@@ -496,11 +500,30 @@ def test_fair_round_validation_and_guard():
 
 
 def compiled_draw_points():
-    """(xbar, m): seeded LP points, a wide market, and an all-zero point."""
+    """(xbar, m): seeded LP points, a wide market, even numerators (whose
+    q/4 reduce), and an all-zero point."""
     for m, values in gen_symmetric_instances(40, seed=71, max_players=3):
         yield solve_cardinality_lp(m, values)[0], m
     yield CardinalityLPSolution(10, [[0, Fr(1, 2)] + [0] * 8 for _ in range(5)]), 10
+    yield CardinalityLPSolution(4, ((Fr(2, 3), 0, Fr(2, 7), 0), (0, Fr(4, 5), 0, 0))), 4
     yield CardinalityLPSolution(3, ((0, 0, 0), (0, 0, 0))), 3
+
+
+HEDGE_VALUES = (
+    SymmetricValuation(0, (0, 1, 1, 1, 1)),
+    SymmetricValuation(1, (0, 1, 1, 1, 1)),
+    SymmetricValuation(2, (0, 1, 2, 2, 2)),
+    SymmetricValuation(3, (0, 0, 0, 0, 3)),
+)
+HEDGE_GRID = StrategyGrid.uniform(len(HEDGE_VALUES), 2)
+
+
+def hedge_fair_points():
+    """(xbar, 4) at each of the 81 bid profiles Hedge plays on fair_rule(4)
+    with the acceptance test's values."""
+    for thetas in product(*HEDGE_GRID.thetas):
+        bids = tuple(v.scale(t) for v, t in zip(HEDGE_VALUES, thetas))
+        yield solve_cardinality_lp(4, bids)[0], 4
 
 
 def test_compiled_fair_round_matches_the_per_call_reference():
@@ -509,6 +532,44 @@ def test_compiled_fair_round_matches_the_per_call_reference():
             assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
         reference = fair_round_support_reference(xbar, m)
         assert fair_round_support(xbar, m) == [(p, r) for r, p in reference]
+
+
+def test_compiled_fair_round_matches_the_reference_on_hedge_seeds():
+    # round seeds exactly as run_hedge draws them: 63-bit, from its own rng
+    trace = run_hedge(fair_rule(4), HEDGE_VALUES, HEDGE_GRID, 40, seed=12)
+    seeds = [r.seed for r in trace.rounds]
+    assert max(seeds) >= 2**32
+    points = [*compiled_draw_points(), *hedge_fair_points()]
+    assert len(points) == 43 + 81
+    for xbar, m in points:
+        for seed in seeds:
+            assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
+
+
+def test_rounding_table_is_size_options_in_integers():
+    for xbar, m in [*compiled_draw_points(), *hedge_fair_points()]:
+        for coin, players in zip(xbar.size_options, xbar.rounding_table):
+            for opts, (sizes, cum, total) in zip(coin, players, strict=True):
+                assert sizes == [size for _, size in opts]
+                assert all(type(w) is int for w in cum) and cum[-1] == total
+                weights = [b - a for a, b in zip([0] + cum, cum)]
+                assert [Fr(w, total) for w in weights] == [p for p, _ in opts]
+                # the scale integer_weights takes: the same randrange(total)
+                assert weights == integer_weights([p for p, _ in opts])
+
+
+def test_fair_round_draws_enumerate_to_the_exact_support():
+    leaves = 0
+    for xbar, m in [*compiled_draw_points(), *hedge_fair_points()]:
+
+        def draw():
+            nonlocal leaves
+            leaves += 1
+            return fair_round(xbar, m, 0)
+
+        support = fair_round_support(xbar, m)
+        assert enumerate_draws(draw, auctions) == {r: p for p, r in support}
+    assert leaves > 30_000
 
 
 def test_exact_support_builds_no_draw_table():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from anarchy import flows
 from anarchy.errors import PreconditionError, SizeGuardError, StructuralError
 from anarchy.flows import (
     FlowInstance,
@@ -49,7 +50,8 @@ from anarchy.mechanism import (
 from anarchy.rationals import F0, F1
 from anarchy.solvers import CapacitatedDigraph
 
-from oracles import alter_to_feasible_reference, rt_round_reference
+import oracles
+from oracles import alter_to_feasible_reference, enumerate_draws, rt_round_reference
 
 H = Fraction(1, 2)
 
@@ -352,11 +354,10 @@ def test_rt_support_size_guard_falls_back_to_sampling():
 # ------------------------------------------------------ alteration identity
 
 
-def alteration_flows():
-    """Greedy flows of seeded instances (up to 6 players) under truthful and
-    random bids."""
-    rng = Random(808)
-    for inst in gen_flow_instances(60, 808, max_vertices=5, max_players=6):
+def alteration_flows(count=60, seed=808, max_vertices=5, max_players=6):
+    """Greedy flows of seeded instances under truthful and random bids."""
+    rng = Random(seed)
+    for inst in gen_flow_instances(count, seed, max_vertices, max_players):
         truthful = truthful_flow_bids(inst)
         noisy = tuple(
             RouteValuation(i, Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))))
@@ -394,6 +395,31 @@ def test_rt_round_matches_the_reference_draw():
                 assert rt_round(flow, inst, eps, seed) == rt_round_reference(
                     flow, inst, eps, seed
                 )
+
+
+def test_rt_round_draws_enumerate_to_the_exact_support():
+    # every branch of the route coins and path draws: the assignment the
+    # reference alters to, and together rt_support, altered samples included
+    cases = altered = leaves = 0
+    for inst, flow in alteration_flows(40, 909, max_vertices=4, max_players=3):
+        for eps in (H, F1):
+
+            def draw():
+                nonlocal leaves
+                leaves += 1
+                return rt_round(flow, inst, eps, 0), rt_round_reference(
+                    flow, inst, eps, 0
+                )
+
+            pairs = enumerate_draws(draw, flows, oracles)
+            assert all(got == ref for got, ref in pairs)
+            support = {}
+            for p, pa in rt_support(flow, inst, eps):
+                support[pa] = support.get(pa, F0) + p
+            assert {pa: p for (pa, _), p in pairs.items()} == support
+            cases += 1
+            altered += sum(not pa.raw_feasible for pa, _ in pairs)
+    assert cases == 160 and altered > 50 and leaves > 2000
 
 
 def alter_both(inst, flow, paths):

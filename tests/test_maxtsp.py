@@ -37,7 +37,8 @@ from anarchy.mechanism import (
 )
 from anarchy.rationals import F0
 
-from oracles import derangements
+import oracles
+from oracles import derangements, enumerate_draws, fisher_round_reference
 
 
 def cover_oracle(g, weight_of=None):
@@ -234,6 +235,26 @@ def test_fisher_never_reads_weights():
         assert fisher_round(cov, a, seed) == fisher_round(cov, b, seed)
     with pytest.raises(StructuralError):
         fisher_round(cov, uniform_digraph(4), 0)
+
+
+def test_fisher_round_draws_enumerate_to_the_exact_support():
+    # every branch of the drop draws gives the tour the reference walks, and
+    # together they give the exact support; 4 to 8 vertices, most covers
+    # with several cycles, where a permuted option list changes the tours
+    rng = Random(29)
+    covers = [CycleCover((1, 0, 3, 2)), CycleCover((1, 0, 3, 4, 2))]
+    covers += [random_cover(n, rng) for n in (4, 5, 6, 6, 7, 7, 8, 8)]
+    assert sum(len(c.cycles()) > 1 for c in covers) >= 6
+    for cov in covers:
+        g = uniform_digraph(cov.n)
+        pairs = enumerate_draws(
+            lambda: (fisher_round(cov, g, 0), fisher_round_reference(cov, 0)),
+            maxtsp,
+            oracles,
+        )
+        assert all(tour == ref for tour, ref in pairs)
+        support = {tour: p for (tour, _), p in pairs.items()}
+        assert support == {tour: p for p, tour in fisher_support(cov, g)}
 
 
 # -------------------------------------------------------------- force_edge
