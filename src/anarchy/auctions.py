@@ -342,27 +342,26 @@ class CardinalityLPSolution:
         return len(self.x)
 
     @cached_property
-    def size_options(self) -> tuple:
-        """For each coin, for each player, the [(probability, size)] options
-        of fair rounding's draw; the exact support reads only these."""
-        return tuple(
-            tuple(map(_size_options, _halved(self, coin))) for coin in (0, 1)
-        )
-
-    @cached_property
     def rounding_table(self) -> tuple:
         """Fair rounding compiled once per point, in integers: for each coin,
         for each player, (sizes, cumulative weights, their total D).
 
-        Size j + 1 weighs q/4 and size 0, listed last, the rest; D is the lcm
-        of the reduced denominators of the q/4, the scale integer_weights
-        takes for size_options, so a draw makes the same randrange(D) call.
+        The coin keeps sizes up to m // 2 on heads (0) and the rest on tails.
+        A kept size j + 1 weighs q/4 and size 0, listed last, the rest; D is
+        the lcm of the reduced denominators of the q/4, the scale
+        integer_weights takes for these weights. fair_round draws from this
+        table and fair_round_support enumerates it.
         """
+        cut = self.m // 2
         table = []
         for coin in (0, 1):
             players = []
-            for row in _halved(self, coin):
-                kept = [(j + 1, q) for j, q in enumerate(row) if q > 0]
+            for row in self.x:
+                kept = [
+                    (j + 1, q)
+                    for j, q in enumerate(row)
+                    if q > 0 and (j + 1 <= cut) == (coin == 0)
+                ]
                 # q/4 = n/(4d) has the reduced denominator 4d / gcd(n, 4)
                 total = lcm(*(4 * q.denominator // gcd(q.numerator, 4) for _, q in kept))
                 cum = accumulate(q.numerator * total // (4 * q.denominator) for _, q in kept)
@@ -444,27 +443,6 @@ def translate_to_config(xbar: CardinalityLPSolution, bids) -> ConfigLPSolution:
 # ------------------------------------------------------------ fair rounding
 
 
-def _halved(xbar: CardinalityLPSolution, coin: int) -> list:
-    """Keep sizes up to half the supply on heads, the rest on tails."""
-    cut = xbar.m // 2
-    rows = []
-    for row in xbar.x:
-        rows.append(
-            [
-                row[j] if (j + 1 <= cut) == (coin == 0) else F0
-                for j in range(xbar.m)
-            ]
-        )
-    return rows
-
-
-def _size_options(q_row) -> list:
-    """[(probability, size)] for one player's draw, size 0 catching the rest."""
-    opts = [(q / 4, j + 1) for j, q in enumerate(q_row) if q > 0]
-    rest = F1 - sum((p for p, _ in opts), F0)
-    return opts + [(rest, 0)]
-
-
 def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
     """One supply-safe integral size per player; reads no bids or values.
 
@@ -472,8 +450,8 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
     independently draws size j with a quarter of the kept weight. If the
     draws oversubscribe the supply, everyone gets nothing. The coin is one
     randrange(2); each size is one randrange(D) bisected into the point's
-    rounding_table, the same calls and sizes as weighted_index over
-    size_options.
+    rounding_table, the same calls and sizes as weighted_index over the
+    table's weights.
     """
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
@@ -489,14 +467,16 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
 
 def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
     """Exact (probability, allocation) support of fair_round, sorted by
-    allocation."""
+    allocation: each coin's rounding_table, every weight over its D."""
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
     acc = {}
-    for coin in (0, 1):
-        for prob, draws in product_support(xbar.size_options[coin]):
-            if prob == 0:
-                continue
+    for players in xbar.rounding_table:
+        options = [
+            [(Fraction(b - a, total), size) for a, b, size in zip([0, *cum], cum, sizes)]
+            for sizes, cum, total in players
+        ]
+        for prob, draws in product_support(options):
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
             acc[outcome] = acc.get(outcome, F0) + HALF * prob
     return [(p, outcome) for outcome, p in sorted(acc.items())]
@@ -590,7 +570,12 @@ def gen_xos_instances(count: int, seed: int, max_players: int = 3, max_items: in
 
 
 def gen_mph_instances(count: int, seed: int, k: int = 2, max_players: int = 3, max_items: int = 4):
-    """Seeded random level-k instances with hyperedges up to size k."""
+    """Seeded random level-k instances with hyperedges up to size k, on
+    max(2, k) to max_items items."""
+    if max(2, k) > max_items:
+        raise StructuralError(
+            f"hierarchy level k must be at most {max_items}, the most items an instance has; got {k}"
+        )
     rng = Random(seed)
     out = []
     for _ in range(count):

@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import e
 from typing import Optional
@@ -63,18 +63,11 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "action": self.action,
-            "instance": self.instance,
-            "seed": self.seed,
-            "d": self.d,
-            "k": self.k,
-            "m": self.m,
-            "eps": None if self.eps is None else frac_str(self.eps),
-            "rounds": self.rounds,
-            "grid": self.grid,
-        }
+        """Every field but out, which names where rows go, not what they are."""
+        out = asdict(self)
+        del out["out"]
+        out["eps"] = None if self.eps is None else frac_str(self.eps)
+        return out
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -634,20 +627,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = ExperimentConfig(
-            domain=args.domain,
-            action=args.action,
-            instance=args.instance,
-            seed=args.seed,
-            d=args.d,
-            k=args.k,
-            m=args.m,
-            eps=args.eps,
-            rounds=args.rounds,
-            grid=args.grid,
-            out=args.out,
-        )
+        # the parser's destinations are exactly the config's fields
+        config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
         rows = HANDLERS[config.action](config)
         write_rows(rows, config.out if config.action != "gen" else None)
     except (CLIError, ValueError, TypeError, RuntimeError, OSError, KeyError) as exc:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .errors import SizeGuardError, StructuralError
+from .errors import PreconditionError, SizeGuardError, StructuralError
 from .rationals import F0, F1, HALF, frac, frac_str
 
 GENERAL = "general"
@@ -232,9 +232,12 @@ def expected_run(
 
     Exact enumeration whenever the rule exposes a support its enumerator
     accepts (at most EXACT_SUPPORT_LIMIT outcomes); otherwise seeded Monte
-    Carlo with the given sample count, flagged as non-exact. cache shares
-    relaxations and supports across calls; by default the call relaxes once.
+    Carlo with the given sample count, flagged as non-exact; the count must
+    be at least 1. cache shares relaxations and supports across calls; by
+    default the call relaxes once.
     """
+    if samples < 1:
+        raise PreconditionError(f"expected_run needs at least one sample, got {samples}")
     _check_profile(rule, bids, values)
     n = len(bids)
     bids = tuple(bids)

@@ -537,8 +537,13 @@ def social_cost_suite(count: int, seed: int, sparsities=(1, 2, 3)) -> list:
     """Residual social-cost certificates on random instances.
 
     Cycles the fractional point through all-zero, the LP optimum at the
-    sampled bids, and a random feasible point.
+    sampled bids, and a random feasible point. Each instance has 4 rows at
+    most, so a sparsity above 4 is rejected before any draw.
     """
+    if max(sparsities) > 4:
+        raise StructuralError(
+            f"sparsity d must be at most 4, the most rows an instance has; got {max(sparsities)}"
+        )
     rng = Random(seed)
     certs = []
     for t in range(count):

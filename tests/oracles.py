@@ -493,7 +493,7 @@ def _draw_index(rng, weights):
     return k
 
 
-def _fair_options(xbar, m, coin):
+def fair_options_reference(xbar, m, coin):
     """Per player [(probability, size)]: the coin keeps sizes up to m // 2 on
     heads (0) and the rest on tails, a quarter of each kept weight is drawn,
     and size 0 takes what is left."""
@@ -514,7 +514,7 @@ def fair_round_reference(xbar, m, seed):
     rational weights to integers and calling randrange once."""
     rng = Random(seed)
     draws = []
-    for opts in _fair_options(xbar, m, rng.randrange(2)):
+    for opts in fair_options_reference(xbar, m, rng.randrange(2)):
         draws.append(opts[_draw_index(rng, [p for p, _ in opts])][1])
     return tuple(draws) if sum(draws) <= m else tuple(0 for _ in draws)
 
@@ -524,7 +524,7 @@ def fair_round_support_reference(xbar, m):
     enumerating both coins and every combination of size draws."""
     acc = {}
     for coin in (0, 1):
-        for combo in product(*_fair_options(xbar, m, coin)):
+        for combo in product(*fair_options_reference(xbar, m, coin)):
             prob = Fraction(1, 2)
             for p, _ in combo:
                 prob *= p

@@ -1,5 +1,6 @@
 """Combinatorial auction relaxations, rounding, and the symmetric gap."""
 
+from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import product
 from random import Random
@@ -39,7 +40,9 @@ from anarchy.mechanism import (
     HALF_VALUE,
     RelaxationCache,
     SmoothnessParams,
+    check_smoothness,
     compose_smoothness,
+    expected_run,
     poa_from_smoothness,
     verify_pure_nash,
 )
@@ -48,6 +51,7 @@ from anarchy.rationals import integer_weights
 
 from oracles import (
     enumerate_draws,
+    fair_options_reference,
     fair_round_reference,
     fair_round_support_reference,
     lp_opt_by_vertex_enum,
@@ -499,6 +503,28 @@ def test_fair_round_validation_and_guard():
         fair_round_support(wide, 10)
 
 
+def test_sampled_expectation_needs_a_sample():
+    # a rule solving to the wide point above: its expectation is sampled
+    wide = CardinalityLPSolution(10, tuple((Fr(1, 100),) * 10 for _ in range(6)))
+    rule = replace(fair_rule(10), solve=lambda bids: (wide, wide.welfare(bids)))
+    values = tuple(SymmetricValuation(i, range(11)) for i in range(6))
+    assert expected_run(rule, values, values, samples=1).exact is False
+    for samples in (0, -3):
+        with pytest.raises(PreconditionError, match="at least one sample"):
+            expected_run(rule, values, values, samples=samples)
+    params = SmoothnessParams(Fr(1, 2), 1, HALF_VALUE)
+    with pytest.raises(PreconditionError, match="at least one sample"):
+        check_smoothness(rule, [values], [values], params, samples=0)
+
+
+def test_generators_reject_levels_beyond_their_bounds():
+    with pytest.raises(StructuralError, match="k must be at most 4"):
+        gen_mph_instances(1, 0, k=5)
+    with pytest.raises(StructuralError, match="k must be at most 5"):
+        gen_mph_instances(1, 0, k=6, max_items=5)
+    assert {m for m, _ in gen_mph_instances(5, 0, k=4)} == {4}
+
+
 def compiled_draw_points():
     """(xbar, m): seeded LP points, a wide market, even numerators (whose
     q/4 reduce), and an all-zero point."""
@@ -546,10 +572,11 @@ def test_compiled_fair_round_matches_the_reference_on_hedge_seeds():
             assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
 
 
-def test_rounding_table_is_size_options_in_integers():
+def test_rounding_table_is_the_reference_options_in_integers():
     for xbar, m in [*compiled_draw_points(), *hedge_fair_points()]:
-        for coin, players in zip(xbar.size_options, xbar.rounding_table):
-            for opts, (sizes, cum, total) in zip(coin, players, strict=True):
+        for coin, players in enumerate(xbar.rounding_table):
+            reference = fair_options_reference(xbar, m, coin)
+            for opts, (sizes, cum, total) in zip(reference, players, strict=True):
                 assert sizes == [size for _, size in opts]
                 assert all(type(w) is int for w in cum) and cum[-1] == total
                 weights = [b - a for a, b in zip([0] + cum, cum)]
@@ -568,17 +595,10 @@ def test_fair_round_draws_enumerate_to_the_exact_support():
             return fair_round(xbar, m, 0)
 
         support = fair_round_support(xbar, m)
+        reference = fair_round_support_reference(xbar, m)
+        assert support == [(p, r) for r, p in reference]
         assert enumerate_draws(draw, auctions) == {r: p for p, r in support}
     assert leaves > 30_000
-
-
-def test_exact_support_builds_no_draw_table():
-    for xbar, m in compiled_draw_points():
-        reference = fair_round_support_reference(xbar, m)
-        assert fair_round_support(xbar, m) == [(p, r) for r, p in reference]
-        assert "rounding_table" not in xbar.__dict__
-        for seed in range(20):
-            assert fair_round(xbar, m, seed) == fair_round_reference(xbar, m, seed)
 
 
 def test_equal_symmetric_bids_hash_alike_and_share_cache_entries():

@@ -186,6 +186,30 @@ def test_exit_one_on_non_positive_count(tmp_path, capsys, argv, option, text):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["packing", "check-lemma", "--d", "5"],
+            "sparsity d must be at most 4, the most rows an instance has; got 5",
+        ),
+        (
+            ["auctions", "check-lemma", "--k", "5"],
+            "hierarchy level k must be at most 4, the most items an instance has; got 5",
+        ),
+        (
+            ["auctions", "gen", "--k", "5"],
+            "hierarchy level k must be at most 4, the most items an instance has; got 5",
+        ),
+    ],
+)
+def test_exit_one_on_generator_parameter_out_of_range(tmp_path, capsys, argv, line):
+    target = tmp_path / "out.json"
+    assert main(argv + ["--out", str(target)]) == 1
+    assert not target.exists()
+    assert_one_line_error(capsys, f"anarchy: error: {line}")
+
+
 def test_gen_checks_out_before_generating(monkeypatch, capsys):
     def generate(config, count):
         raise AssertionError("instances generated before --out was checked")
@@ -507,6 +531,12 @@ def test_config_hash_tracks_parameters():
     assert base.hash() == ExperimentConfig("flow", "solve", seed=1).hash()
     assert base.hash() != ExperimentConfig("flow", "solve", seed=2).hash()
     assert base.hash() != ExperimentConfig("flow", "solve", seed=1, m=3).hash()
+    # pinned: rows written by earlier versions keep their config hash
+    assert base.hash() == "4711bb6e1c08"
+    argv = ["flow", "round", "--instance", "x.json", "--seed", "4", "--eps", "1/3",
+            "--rounds", "10", "--grid", "4", "--out", "y.csv"]
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
+    assert config.hash() == "22a76d141f5f"
 
 
 def test_parser_accepts_spec_surface():

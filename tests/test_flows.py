@@ -276,13 +276,16 @@ def test_rt_half_half_monte_carlo():
     g = CapacitatedDigraph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
     inst = FlowInstance(g, 0, [(3, 1, 4)])
     flow = FractionalFlow(inst, ((H, H, H, H),), (F1,))
-    samples = 100_000
+    # the exact distribution over rt_round's random calls
+    exact = enumerate_draws(lambda: rt_round(flow, inst, 1, 0).paths[0], flows)
+    assert exact == {None: H, (0, 1): Fraction(1, 4), (2, 3): Fraction(1, 4)}
+    samples = 10_000
     rng = Random(271)
     counts = {None: 0, (0, 1): 0, (2, 3): 0}
     for _ in range(samples):
         pa = rt_round(flow, inst, 1, seed=rng.getrandbits(60))
         counts[pa.paths[0]] += 1
-    # 3 sigma for a 1/4 coin over 1e5 draws
+    # 3 sigma for a 1/4 coin over 1e4 draws
     sigma = (0.25 * 0.75 / samples) ** 0.5
     assert abs(counts[(0, 1)] / samples - 0.25) <= 3 * sigma
     assert abs(counts[(2, 3)] / samples - 0.25) <= 3 * sigma

@@ -309,6 +309,13 @@ def test_social_cost_suite():
     assert all(c.holds for c in certs)
 
 
+def test_social_cost_suite_rejects_sparsity_beyond_its_rows():
+    for sparsities in ((5,), (1, 2, 5)):
+        with pytest.raises(StructuralError, match="d must be at most 4"):
+            social_cost_suite(3, seed=7, sparsities=sparsities)
+    assert all(c.holds for c in social_cost_suite(3, seed=7, sparsities=(4,)))
+
+
 def test_random_feasible_points_feasible():
     rng = Random(53)
     for _ in range(25):
