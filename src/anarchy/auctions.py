@@ -280,8 +280,18 @@ def config_instance(m: int, bids) -> tuple:
 
     Option s of every player is the bundle item_subsets(m)[s], valued by that
     player's bid; item j is one capacity-1 row touched by the bundles holding j.
+    A hyperedge naming an item outside 0..m-1 is a StructuralError: no bundle
+    would ever hold it, so the bid would be silently ignored.
     """
     subs = item_subsets(m)
+    for b in bids:
+        clauses = b.clauses if isinstance(b, MPHkValuation) else ()
+        for j in (j for clause in clauses for T, _ in clause for j in T):
+            if not (isinstance(j, int) and 0 <= j < m):
+                raise StructuralError(
+                    f"player {b.player} bids on item {j!r}; "
+                    f"the auction has items 0 to {m - 1}"
+                )
     amounts = [[_set_value(b, S) for S in subs] for b in bids]
     rows = [[[F1 if j in S else F0 for S in subs] for _ in bids] for j in range(m)]
     inst = PackingInstance(amounts, rows, [F1] * m)

@@ -1,18 +1,20 @@
 """Shared exception types.
 
-Three failure classes are kept distinct so callers can tell malformed data
+Four failure classes are kept distinct so callers can tell malformed data
 apart from legitimate "no solution" answers:
 
 * StructuralError: the input object itself is malformed (dimension mismatch,
-  bad domain tag, value out of range).
+  bad domain tag, value out of range, a negative LP right-hand side).
 * PreconditionError: the object is well formed but violates a documented
   precondition of the operation (infeasible fractional point, set that is
   not a basis, missing grid multiplier).
 * SizeGuardError: the input is too large for an exhaustive routine.
 * InfeasibleMatchingError: no perfect matching avoiding the forbidden cells.
 
-LP infeasibility and unboundedness are reported through LPSolution.status,
-not through exceptions, because both are ordinary answers for a solver.
+A linear program's right-hand side is nonnegative, so x = 0 is feasible and
+infeasibility is not an answer the solver gives. Unboundedness is reported
+through LPSolution.status, not through an exception, because it is an
+ordinary answer for a solver.
 """
 
 

@@ -271,7 +271,7 @@ def fisher_support(cover: CycleCover, g: CompleteDigraph) -> list:
     return [(p, tour) for tour, p in sorted(acc.items(), key=lambda kv: kv[0].order)]
 
 
-def force_edge(cover: CycleCover, e, g: CompleteDigraph = None):
+def force_edge(cover: CycleCover, e):
     """Rewire the cover to contain the directed edge e; (cover', removed).
 
     Removed edges play fixed roles: the successor edge of e's tail, the
@@ -311,7 +311,7 @@ def check_cc_social_cost(g: CompleteDigraph, bids, reference: CycleCover) -> Cos
     lhs = F0
     for v3, v4 in reference.edges():
         forced_best = _best_cover(wf, n, (v3, v4))[1]
-        forced, removed = force_edge(cover, (v3, v4), g)
+        forced, removed = force_edge(cover, (v3, v4))
         if forced.succ[v3] != v4 or len(removed) > 3:
             raise StructuralError("edge forcing broke its contract")
         if forced.weight_under(wf) > forced_best:

@@ -1,4 +1,4 @@
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, solve_lp
+from .lp import OPTIMAL, UNBOUNDED, LinearProgram, LPSolution, solve_lp
 from .matching import WeightMatrix, max_weight_perfect_matching
 from .maxflow import CapacitatedDigraph, MaxFlowResult, Residual, max_flow
 
@@ -7,7 +7,6 @@ __all__ = [
     "LPSolution",
     "solve_lp",
     "OPTIMAL",
-    "INFEASIBLE",
     "UNBOUNDED",
     "WeightMatrix",
     "max_weight_perfect_matching",

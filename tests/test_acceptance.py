@@ -73,7 +73,7 @@ def test_03_cycle_cover_social_cost():
         cover, _ = maxtsp.max_weight_cycle_cover(g)
         n = g.num_vertices
         for e in ((u, v) for u in range(n) for v in range(n) if u != v):
-            forced, removed = maxtsp.force_edge(cover, e, g)
+            forced, removed = maxtsp.force_edge(cover, e)
             assert forced.succ[e[0]] == e[1]
             assert len(removed) <= 3
             assert e not in removed

@@ -244,6 +244,9 @@ def test_config_lp_validation():
         solve_config_lp(2, 1, (b,))
     with pytest.raises(StructuralError):
         solve_config_lp(1, 1, (additive_valuation(1, (1,)),))
+    # item 1 of a one-item auction: no bundle holds it
+    with pytest.raises(StructuralError, match="player 0 bids on item 1"):
+        solve_config_lp(1, 1, (additive_valuation(0, (1, 2)),))
     with pytest.raises(SizeGuardError):
         item_subsets(11)
 

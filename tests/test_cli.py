@@ -316,6 +316,23 @@ def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
             },
             "anarchy: error: auctions kind must be 'symmetric' or 'mph', not 'symetric'",
         ),
+        (
+            "auctions",
+            {
+                "domain": "auctions",
+                "kind": "mph",
+                "instances": [
+                    {
+                        "m": 2,
+                        "bids": [
+                            {"k": 1, "clauses": [[{"T": [5], "v": "3"}]]},
+                            {"k": 1, "clauses": [[{"T": [-1], "v": "2"}]]},
+                        ],
+                    }
+                ],
+            },
+            "anarchy: error: player 0 bids on item 5; the auction has items 0 to 1",
+        ),
     ],
 )
 def test_exit_one_on_malformed_instance_entry(tmp_path, capsys, domain, payload, line):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from anarchy import StructuralError
-from anarchy.solvers import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from anarchy.solvers import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
 from oracles import lp_opt_by_vertex_enum
 
@@ -19,12 +19,6 @@ def test_two_box_constraints():
     assert sol.status == OPTIMAL
     assert sol.value == 2
     assert sol.x == (F(1), F(1))
-
-
-def test_infeasible_pair():
-    # x <= 1 together with x >= 2.
-    lp = LinearProgram([1], [[1], [-1]], [1, -2])
-    assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_unbounded_without_constraints():
@@ -43,6 +37,12 @@ def test_dimension_mismatch_rejected():
         LinearProgram([1, 2], [[1, 0]], [1, 2])
     with pytest.raises(StructuralError):
         LinearProgram([1, 2], [[1, 0, 0]], [1])
+
+
+def test_negative_rhs_rejected():
+    # Programs are in packing form, so x = 0 must be feasible.
+    with pytest.raises(StructuralError, match="rhs entry 0"):
+        LinearProgram([1], [[1]], [-1])
 
 
 def test_fractional_data_solved_exactly():
@@ -69,15 +69,6 @@ def test_degenerate_program_terminates():
     oracle = lp_opt_by_vertex_enum(lp.objective, lp.rows, lp.rhs)
     assert sol.status == OPTIMAL
     assert sol.value == oracle
-
-
-def test_negative_rhs_feasible_program():
-    # x1 >= 1 written as -x1 <= -1, optimum pushed away from the origin.
-    lp = LinearProgram([-1, 1], [[-1, 0], [1, 1]], [-1, 3])
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.value == 1  # x = (1, 2)
-    assert sol.x == (F(1), F(2))
 
 
 def test_random_programs_match_vertex_enumeration():
