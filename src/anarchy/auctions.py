@@ -275,15 +275,27 @@ def _set_value(bid, S) -> Fraction:
     return eval_mph(bid, S)
 
 
+def _check_levels(m: int, bids) -> None:
+    """A symmetric bid on m items has one level per count 0 to m."""
+    for b in bids:
+        if isinstance(b, SymmetricValuation) and b.m != m:
+            raise StructuralError(
+                f"player {b.player} bids {len(b.levels)} levels; "
+                f"m = {m} needs {m + 1}, one per item count 0 to {m}"
+            )
+
+
 def config_instance(m: int, bids) -> tuple:
     """The configuration LP as a packing program, (PackingInstance, option bids).
 
     Option s of every player is the bundle item_subsets(m)[s], valued by that
     player's bid; item j is one capacity-1 row touched by the bundles holding j.
     A hyperedge naming an item outside 0..m-1 is a StructuralError: no bundle
-    would ever hold it, so the bid would be silently ignored.
+    would ever hold it, so the bid would be silently ignored; so is a
+    symmetric bid without exactly m + 1 levels.
     """
     subs = item_subsets(m)
+    _check_levels(m, bids)
     for b in bids:
         clauses = b.clauses if isinstance(b, MPHkValuation) else ()
         for j in (j for clause in clauses for T, _ in clause for j in T):
@@ -393,6 +405,7 @@ def _cardinality_instance(m: int, bids) -> tuple:
     """Symmetric bids as an m-unit packing program, (instance, option bids)."""
     _check_auction_bids(bids)
     _require_symmetric(bids)
+    _check_levels(m, bids)
     inst = multiunit_instance([b.levels[1:] for b in bids], m)
     return inst, truthful_bids(inst)
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Optional
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
-from .rationals import F0, F1, frac, frac_str, parse_frac
-from .solvers import LinearProgram, solve_lp
+from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
+from .solvers import IntegerProgram, solve_lp
 
 BRUTE_FORCE_CHOICE_BITS = 20  # exhaustive integral search guard: n*K at most this
 DP_CAPACITY_GUARD = 100_000
@@ -77,6 +78,20 @@ class PackingInstance:
     @property
     def L(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def integer_rows(self) -> tuple:
+        """Each packing row compiled once, as (ints, s): its n*K coefficients
+        in column order i*K + k, times s, the lcm of their denominators.
+
+        Every packing program of the instance is built from these rows: a
+        program slices its players' columns, and its capacity c = p/q turns
+        row l into (q * ints) . x <= s * p, a positive multiple of
+        row_l . x <= c."""
+        return tuple(
+            scale_to_integers([a for player in row for a in player])
+            for row in self.rows
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -181,18 +196,23 @@ def _packing_lp(inst: PackingInstance, bids, players, capacities):
     """The LP relaxation restricted to the listed players, under capacities.
 
     Columns are i*K + k over the listed players; the rows are the packing
-    rows, then one "at most one option" row per listed player.
+    rows, from inst.integer_rows, then one "at most one option" row per
+    listed player.
     """
     K = inst.K
+    cols = [i * K + k for i in players for k in range(K)]
     objective = [bids[i].amounts[k] for i in players for k in range(K)]
-    rows = [[row[i][k] for i in players for k in range(K)] for row in inst.rows]
-    rhs = list(capacities)
+    rows = []
+    for (ints, scale), c in zip(inst.integer_rows, capacities):
+        q = c.denominator
+        sliced = [ints[j] for j in cols] if q == 1 else [ints[j] * q for j in cols]
+        sliced.append(c.numerator * scale)
+        rows.append(sliced)
     for pos in range(len(players)):
-        row = [F0] * len(objective)
-        row[pos * K : (pos + 1) * K] = [F1] * K
+        row = [0] * len(cols) + [1]
+        row[pos * K : (pos + 1) * K] = [1] * K
         rows.append(row)
-        rhs.append(F1)
-    sol = solve_lp(LinearProgram(objective, rows, rhs))
+    sol = solve_lp(IntegerProgram(objective, rows))
     assert sol.optimal  # x = 0 is feasible and the player rows bound everything
     return sol
 
@@ -364,7 +384,9 @@ def residual_welfare(inst: PackingInstance, bids, excluded: int, capacities):
 def residual_loss(inst: PackingInstance, bids, xbar) -> tuple:
     """(sum_i [W_-i(c) - W_-i(c - A xbar_i)], W(c)) for a feasible xbar.
 
-    W_-i(c') is the LP optimum without player i under capacities c'.
+    W_-i(c') is the LP optimum without player i under capacities c'. When
+    player i's share consumes nothing, c - A xbar_i is c itself: the two
+    programs are the same, the term is exactly 0, and neither is solved.
     """
     _, full = solve_packing_lp(inst, bids)
     lhs = F0
@@ -373,8 +395,9 @@ def residual_loss(inst: PackingInstance, bids, xbar) -> tuple:
             c - sum((a * v for a, v in zip(row[i], xbar[i]) if v), F0)
             for c, row in zip(inst.capacities, inst.rows)
         )
-        without = residual_welfare(inst, bids, i, inst.capacities)
-        lhs += without - residual_welfare(inst, bids, i, left)
+        if left != inst.capacities:
+            without = residual_welfare(inst, bids, i, inst.capacities)
+            lhs += without - residual_welfare(inst, bids, i, left)
     return lhs, full
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import lcm
 from random import Random
 
 F0 = Fraction(0)
@@ -61,15 +61,18 @@ def bernoulli(rng: Random, p) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
+def scale_to_integers(values) -> tuple:
+    """(the rationals times s, s) for s the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def integer_weights(weights) -> list:
     """Rational weights scaled by the lcm of their denominators to integers."""
     weights = [frac(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    scale = 1
-    for w in weights:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
-    ints = [int(w * scale) for w in weights]
+    ints, _ = scale_to_integers(weights)
     if sum(ints) == 0:
         raise ValueError("all weights are zero")
     return ints

@@ -5,6 +5,15 @@ Programs are maximization problems in packing form
     max  c . x    subject to    A x <= b,  x >= 0,  with  b >= 0,
 
 so x = 0 is feasible; every relaxation the package builds has this form.
+`solve_lp` takes such a program in one of two forms and runs one simplex
+core on both. A `LinearProgram` holds Fraction rows; `solve_lp` compiles
+each row with its rhs to integers, times the lcm of their denominators. An
+`IntegerProgram` arrives compiled: each row, rhs last, is its constraint
+times some positive number that makes it integral. `packing` builds its
+programs in this form from rows it compiles once per instance. A positive
+row scaling changes no sign test and no ratio order, so both forms of one
+program take the same pivots and reach the same vertex.
+
 The solver is a one-phase dense tableau simplex started from the slack
 basis, using Bland's smallest-index pivot rule, so it cannot cycle and every
 run is deterministic; ties in the ratio test break toward the lowest basic
@@ -19,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from ..errors import StructuralError
-from ..rationals import F0, frac
+from ..rationals import F0, frac, scale_to_integers
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -59,13 +67,24 @@ class LinearProgram:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.objective)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+@dataclass(frozen=True)
+class IntegerProgram:
+    """max objective . x  s.t.  rows[i][:-1] . x <= rows[i][-1],  x >= 0.
+
+    rows are ints with the rhs last, rhs >= 0; the objective stays in
+    Fractions and the solver scales it by the lcm of its denominators."""
+
+    objective: Sequence
+    rows: Sequence
+
+    def __post_init__(self):
+        n = len(self.objective)
+        for i, row in enumerate(self.rows):
+            if len(row) != n + 1 or row[-1] < 0:
+                raise StructuralError(
+                    f"integer row {i} is not {n} coefficients and an rhs >= 0"
+                )
 
 
 @dataclass(frozen=True)
@@ -77,12 +96,6 @@ class LPSolution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _integer_row(values) -> list:
-    """The rationals times the lcm of their denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(tableau, obj, basis, det, prow_idx, pcol) -> int:
@@ -139,27 +152,40 @@ def _run_simplex(tableau, obj, basis, det, ncols):
         det = _pivot(tableau, obj, basis, det, prow_idx, pcol)
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    n = lp.num_vars
-    m = lp.num_rows
+def _compile(lp: LinearProgram) -> IntegerProgram:
+    """Each row with its rhs times the lcm of their denominators."""
+    return IntegerProgram(
+        lp.objective,
+        tuple(scale_to_integers(row + (b,))[0] for row, b in zip(lp.rows, lp.rhs)),
+    )
+
+
+def solve_lp(program) -> LPSolution:
+    """Optimum of a LinearProgram or an IntegerProgram; a LinearProgram is
+    compiled first, then both run the same simplex."""
+    if isinstance(program, LinearProgram):
+        program = _compile(program)
+    objective = program.objective
+    n = len(objective)
+    m = len(program.rows)
     ncols = n + m
 
-    # Integer tableau [A | I | b]: row i of A with its rhs is scaled by the
-    # lcm s_i of its denominators and its slack column stays at 1, so the
-    # slack basis has det = 1. That is a positive row scaling plus the
-    # substitution slack_i -> slack_i / s_i, so every sign test and ratio
-    # order, hence every pivot, is unchanged.
+    # Integer tableau [A | I | b]: each compiled row is a positive multiple
+    # s_i of its constraint and its slack column stays at 1, so the slack
+    # basis has det = 1. That is a positive row scaling plus the substitution
+    # slack_i -> slack_i / s_i, so every sign test and ratio order, hence
+    # every pivot, is unchanged.
     tableau = []
-    for i, row in enumerate(lp.rows):
-        ints = _integer_row(row + (lp.rhs[i],))
-        full = ints[:n] + [0] * m + ints[n:]
+    for i, ints in enumerate(program.rows):
+        full = list(ints[:n]) + [0] * m + [ints[n]]
         full[n + i] = 1
         tableau.append(full)
     basis = list(range(n, ncols))
 
-    # Objective row scaled to integers. Slacks cost nothing, so against the
-    # slack basis it is already priced out.
-    cost = _integer_row(lp.objective)
+    # Objective row: the objective times sigma, the lcm of its denominators.
+    # Slacks cost nothing, so against the slack basis it is already priced
+    # out. Its last entry is -sigma * det times the current value.
+    cost, sigma = scale_to_integers(objective)
     obj = cost + [0] * (m + 1)
     det, unbounded_col = _run_simplex(tableau, obj, basis, 1, ncols)
     if unbounded_col is not None:
@@ -169,5 +195,4 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for r, col in enumerate(basis):
         if col < n:
             x[col] = Fraction(tableau[r][-1], det)
-    value = sum((c * v for c, v in zip(lp.objective, x) if v), F0)
-    return LPSolution(OPTIMAL, tuple(x), value)
+    return LPSolution(OPTIMAL, tuple(x), Fraction(-obj[-1], sigma * det))

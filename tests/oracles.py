@@ -336,6 +336,44 @@ def best_integral_packing(b, A, c):
     return best_choices, best
 
 
+def packing_program(inst, bids, players, capacities):
+    """(objective, rows, rhs) in Fractions of the packing LP over the listed
+    players under the capacities, read off the instance data: one column
+    per listed (player, option), the packing rows, then one "at most one
+    option" row per listed player."""
+    columns = [(i, k) for i in players for k in range(len(inst.values[0]))]
+    objective = [Fraction(bids[i].amounts[k]) for i, k in columns]
+    rows = [[Fraction(row[i][k]) for i, k in columns] for row in inst.rows]
+    rhs = [Fraction(c) for c in capacities]
+    for p in players:
+        rows.append([Fraction(int(i == p)) for i, _ in columns])
+        rhs.append(Fraction(1))
+    return objective, rows, rhs
+
+
+def residual_loss_reference(inst, bids, xbar):
+    """(sum_i [W_-i(c) - W_-i(c - A xbar_i)], W(c)): every program built by
+    packing_program and solved by solve_lp_reference, no pair skipped."""
+
+    def welfare(players, capacities):
+        status, _, value = solve_lp_reference(
+            *packing_program(inst, bids, players, capacities)
+        )
+        assert status == "optimal"
+        return value
+
+    n = len(inst.values)
+    lhs = F0
+    for i in range(n):
+        others = [p for p in range(n) if p != i]
+        left = [
+            c - sum((a * v for a, v in zip(row[i], xbar[i])), F0)
+            for c, row in zip(inst.capacities, inst.rows)
+        ]
+        lhs += welfare(others, inst.capacities) - welfare(others, left)
+    return lhs, welfare(range(n), inst.capacities)
+
+
 def _frac_text(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

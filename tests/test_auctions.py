@@ -55,6 +55,7 @@ from oracles import (
     fair_round_reference,
     fair_round_support_reference,
     lp_opt_by_vertex_enum,
+    residual_loss_reference,
 )
 
 
@@ -326,6 +327,28 @@ def test_ca_social_cost_matches_vertex_enumeration():
         assert cert.rhs == (k + 1) * config_lp_by_vertex_enum(n, m, bids)
 
 
+def test_ca_social_cost_matches_the_residual_reference():
+    # every residual configuration program solved by the Fraction reference,
+    # none skipped; half the profiles bid below the values the point solves
+    rng = Random(59)
+    for k, pairs in (
+        (1, gen_xos_instances(12, seed=57)),
+        (2, gen_mph_instances(12, seed=58, k=2)),
+    ):
+        for t, (m, values) in enumerate(pairs):
+            x, _ = solve_config_lp(len(values), m, values)
+            bids = values
+            if t % 2:
+                bids = tuple(v.scale(Fr(rng.randint(0, 4), 4)) for v in values)
+            cert = check_ca_social_cost(bids, x, k)
+            lhs, full = residual_loss_reference(*config_instance(m, bids), x.x)
+            assert (cert.lhs, cert.rhs, cert.detail) == (
+                lhs,
+                (k + 1) * full,
+                {"welfare": full},
+            )
+
+
 def test_ca_social_cost_shape_mismatch():
     b = additive_valuation(0, (1, 1))
     x = ConfigLPSolution(2, ((0, 0, 0, 0),))
@@ -344,6 +367,24 @@ def test_symmetric_validation():
     v = SymmetricValuation(0, (0, 1, 3))
     assert v.m == 2
     assert v.best_case() == 3
+
+
+@pytest.mark.parametrize(
+    "m, levels",
+    [(2, (0, 1)), (1, (0, 1, 2)), (3, (0, 1, 1, 2, 2))],
+)
+def test_both_relaxations_check_the_level_count(m, levels):
+    # one bid with the wrong number of levels, beside a well-formed one
+    bids = (SymmetricValuation(0, (0,) * (m + 1)), SymmetricValuation(1, levels))
+    line = f"player 1 bids {len(levels)} levels; m = {m} needs {m + 1}, one per item count 0 to {m}"
+    for solve in (
+        lambda: solve_config_lp(2, m, bids),
+        lambda: solve_cardinality_lp(m, bids),
+        lambda: solve_cardinality_integral(m, bids),
+    ):
+        with pytest.raises(StructuralError) as err:
+            solve()
+        assert str(err.value) == line
 
 
 def test_symmetric_value_dispatch():

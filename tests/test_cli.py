@@ -333,6 +333,15 @@ def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
             },
             "anarchy: error: player 0 bids on item 5; the auction has items 0 to 1",
         ),
+        (
+            "auctions",
+            {
+                "domain": "auctions",
+                "kind": "symmetric",
+                "instances": [{"m": 3, "levels": [["0", "1", "2", "3"], ["0", "1"]]}],
+            },
+            "anarchy: error: player 1 bids 2 levels; m = 3 needs 4, one per item count 0 to 3",
+        ),
     ],
 )
 def test_exit_one_on_malformed_instance_entry(tmp_path, capsys, domain, payload, line):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from anarchy import StructuralError
-from anarchy.solvers import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from anarchy.solvers import OPTIMAL, UNBOUNDED, IntegerProgram, LinearProgram, solve_lp
 
 from oracles import lp_opt_by_vertex_enum
 
@@ -43,6 +43,24 @@ def test_negative_rhs_rejected():
     # Programs are in packing form, so x = 0 must be feasible.
     with pytest.raises(StructuralError, match="rhs entry 0"):
         LinearProgram([1], [[1]], [-1])
+
+
+def test_integer_program_shape_and_rhs_checked():
+    with pytest.raises(StructuralError, match="row 0 is not 2 coefficients"):
+        IntegerProgram([F(1), F(2)], [[1, 0]])
+    with pytest.raises(StructuralError, match="row 1 is not 1 coefficients and an rhs >= 0"):
+        IntegerProgram([F(1)], [[1, 2], [1, -1]])
+
+
+def test_both_program_forms_solve_alike():
+    # the rows x/2 + 3y/4 <= 7/8 and 5x/6 + y/9 <= 2/3 times 8 and 18
+    lp = LinearProgram(
+        [F(1, 3), F(2, 7)],
+        [[F(1, 2), F(3, 4)], [F(5, 6), F(1, 9)]],
+        [F(7, 8), F(2, 3)],
+    )
+    compiled = IntegerProgram(lp.objective, [[4, 6, 7], [15, 2, 12]])
+    assert solve_lp(compiled) == solve_lp(lp)
 
 
 def test_fractional_data_solved_exactly():

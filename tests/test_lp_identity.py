@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anarchy import auctions, flows, packing
-from anarchy.solvers import LinearProgram, solve_lp
+from anarchy.solvers import IntegerProgram, LinearProgram, solve_lp
 from anarchy.solvers import lp as lp_module
 
 import oracles
@@ -38,30 +38,45 @@ def recording(pivot, log):
     return wrapper
 
 
-def assert_same_pivots_as_reference(lp):
+def assert_same_pivots_as_reference(lp, program=None):
     """Both tableaus take the same pivots in the same order. Two pivot
     paths can end on one vertex, so this sees a changed entering or
-    leaving choice that (status, x, value) alone may not."""
+    leaving choice that (status, x, value) alone may not. program, if
+    given, is a compiled form of lp that solve_lp runs instead."""
     got, expected = [], []
     with patch.object(lp_module, "_pivot", recording(lp_module._pivot, got)), patch.object(
         oracles, "_ref_pivot", recording(oracles._ref_pivot, expected)
     ):
-        assert_same_as_reference(lp)
+        assert_same_as_reference(lp, solve_lp(lp if program is None else program))
     assert got == expected, lp
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every (program, solution) the library solves while the fixture is live."""
+    """Every (program, solution) the library solves while the fixture is
+    live. A packing program enters solve_lp compiled; it is recorded as the
+    Fraction program that _packing_lp's arguments stand for, read off the
+    instance data by oracles.packing_program, so the comparison also holds
+    the compile to the program it stands for."""
     calls = []
+    packing_lp = packing._packing_lp
 
-    def recorder(lp):
-        sol = solve_lp(lp)
-        calls.append((lp, sol))
+    def recorder(program):
+        sol = solve_lp(program)
+        calls.append((program, sol))
+        return sol
+
+    def packing_recorder(inst, bids, players, capacities):
+        sol = packing_lp(inst, bids, players, capacities)
+        program, solved = calls[-1]
+        assert solved is sol and isinstance(program, IntegerProgram)
+        reference = oracles.packing_program(inst, bids, players, capacities)
+        calls[-1] = (LinearProgram(*reference), sol)
         return sol
 
     monkeypatch.setattr(packing, "solve_lp", recorder)
     monkeypatch.setattr(flows, "solve_lp", recorder)
+    monkeypatch.setattr(packing, "_packing_lp", packing_recorder)
     return calls
 
 
@@ -83,9 +98,14 @@ def test_library_programs_match_the_reference(recorded):
     for inst in flows.gen_flow_instances(20, seed=91):
         flows.solve_path_lp(inst, flows.truthful_flow_bids(inst))
     sizes.append(len(recorded))
-    # every source contributed: packing certificates, configuration
-    # certificates, one LP per cardinality call, the routable path LPs
-    assert 0 < sizes[0] < sizes[1] == sizes[2] - 40 < sizes[3]
+    # every source contributed. Packing certificates: 30 full programs and
+    # two per residual pair whose share consumes capacity (68 of 117; the
+    # other pairs are the same program twice and are not solved).
+    # Configuration certificates: 20 solves, 20 full programs, two per
+    # consuming pair (28 of 43). One LP per cardinality call, and the
+    # routable path LPs.
+    per_source = [b - a for a, b in zip([0] + sizes, sizes)]
+    assert per_source == [30 + 2 * 68, 40 + 2 * 28, 40, 17]
     for lp, sol in recorded:
         assert_same_as_reference(lp, sol)
 
@@ -115,3 +135,13 @@ def signed_programs(draw):
 @given(signed_programs())
 def test_signed_programs_match_the_reference(lp):
     assert_same_pivots_as_reference(lp)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(signed_programs(), st.lists(st.integers(1, 6), min_size=5, max_size=5))
+def test_integer_programs_with_scaled_rows_match_the_reference(lp, scales):
+    # any positive multiple of each compiled row is the same program
+    rows = [
+        [a * s for a in row] for row, s in zip(lp_module._compile(lp).rows, scales)
+    ]
+    assert_same_pivots_as_reference(lp, IntegerProgram(lp.objective, rows))

@@ -29,6 +29,7 @@ from anarchy.packing import (
     multiunit_instance,
     random_bids,
     random_feasible_point,
+    residual_loss,
     residual_welfare,
     social_cost_suite,
     solve_packing_integral,
@@ -38,7 +39,12 @@ from anarchy.packing import (
 )
 from anarchy.rationals import F0, F1
 
-from oracles import best_integral_packing, lp_opt_by_vertex_enum, packing_dual_value
+from oracles import (
+    best_integral_packing,
+    lp_opt_by_vertex_enum,
+    packing_dual_value,
+    residual_loss_reference,
+)
 
 H = Fraction(1, 2)
 
@@ -307,6 +313,70 @@ def test_social_cost_suite():
     certs = social_cost_suite(12, seed=7)
     assert len(certs) == 12
     assert all(c.holds for c in certs)
+
+
+def residual_cases(count, seed):
+    """(instance, bids, xbar) on sparse-random instances, d = 1, 2, 3, in
+    the three xbar modes of social_cost_suite: zero, the LP optimum at the
+    bids, a random feasible point."""
+    rng = Random(seed)
+    cases = []
+    for t in range(count):
+        d = 1 + t % 3
+        n, K, L = rng.randint(2, 4), rng.randint(1, 3), rng.randint(d, 4)
+        inst = gen_instances(
+            "sparse-random", 1, rng.getrandbits(32), n=n, K=K, L=L, d=d
+        )[0]
+        bids = random_bids(inst, rng)
+        mode = t // 3 % 3
+        if mode == 0:
+            xbar = tuple((F0,) * K for _ in range(n))
+        elif mode == 1:
+            xbar = solve_packing_lp(inst, bids)[0].x
+        else:
+            xbar = random_feasible_point(inst, rng)
+        cases.append((inst, bids, xbar))
+    return cases
+
+
+def fractional_cases(count, seed):
+    """(instance, bids, xbar) with fractional coefficients and capacities, so
+    each compiled row carries a scale and each residual capacity a
+    denominator."""
+    rng = Random(seed)
+    cases = []
+    for _ in range(count):
+        n, K, L = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 3)
+
+        def q():
+            return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 4)))
+
+        rows = [[[q() for _ in range(K)] for _ in range(n)] for _ in range(L)]
+        caps = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(L)]
+        inst = PackingInstance([[q() for _ in range(K)] for _ in range(n)], rows, caps)
+        cases.append((inst, random_bids(inst, rng), random_feasible_point(inst, rng)))
+    return cases
+
+
+def test_residual_loss_matches_the_reference():
+    cases = residual_cases(27, seed=61) + fractional_cases(12, seed=62)
+    # player 0 holds only option 1, which consumes nothing: c - A xbar_0 is
+    # c although xbar_0 is not zero; players 1 and 2 consume on both rows
+    inst = PackingInstance(
+        [[3, 2], [4, 1], [2, 5]],
+        [[[1, 0], [2, 1], [1, 1]], [[2, 0], [1, 3], [2, 1]]],
+        [3, 4],
+    )
+    xbar = ((F0, H), (Fraction(1, 4), F0), (F0, Fraction(1, 3)))
+    check_feasible(inst, xbar)
+    cases.append((inst, truthful_bids(inst), xbar))
+    kinds = set()  # (the share consumes capacity, the share is nonzero)
+    for inst, bids, xbar in cases:
+        assert residual_loss(inst, bids, xbar) == residual_loss_reference(inst, bids, xbar)
+        for i in range(inst.n):
+            load = [sum(a * v for a, v in zip(row[i], xbar[i])) for row in inst.rows]
+            kinds.add((any(load), any(xbar[i])))
+    assert kinds == {(False, False), (False, True), (True, True)}
 
 
 def test_social_cost_suite_rejects_sparsity_beyond_its_rows():

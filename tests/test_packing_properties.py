@@ -1,7 +1,5 @@
 """Property tests: every packing-shaped LP against vertex enumeration."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,19 +10,12 @@ from anarchy.packing import (
     solve_packing_lp,
 )
 
-from oracles import lp_opt_by_vertex_enum
+from oracles import lp_opt_by_vertex_enum, packing_program
 
 
 def enumerated_value(inst, bids, players, capacities):
     """LP optimum over the listed players' options under the capacities."""
-    columns = [(i, k) for i in players for k in range(inst.K)]
-    objective = [bids[i].amounts[k] for i, k in columns]
-    rows = [[row[i][k] for i, k in columns] for row in inst.rows]
-    rhs = list(capacities)
-    for p in players:
-        rows.append([Fraction(int(i == p)) for i, _ in columns])
-        rhs.append(Fraction(1))
-    return lp_opt_by_vertex_enum(objective, rows, rhs)
+    return lp_opt_by_vertex_enum(*packing_program(inst, bids, players, capacities))
 
 
 @st.composite
