@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from random import Random
 from typing import Callable
@@ -29,13 +29,14 @@ from .errors import (
     SizeGuardError,
     StructuralError,
 )
-from .mechanism import AllocationRule, Counterexample, Valuation, product_support
+from .mechanism import AllocationRule, Counterexample, Valuation
+from .mechanism import integral_argmax, product_support
 from .rationals import F0, F1, bernoulli, frac, frac_str, parse_frac, weighted_index
 from .solvers import CapacitatedDigraph, LinearProgram, Residual, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
-ASSIGNMENT_GUARD = 1_000_000  # integral assignments enumerated before refusing
+ASSIGNMENT_GUARD = 1_000_000  # feasible integral assignments searched before refusing
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,6 @@ def greedy_fractional_flow(inst: FlowInstance, bids):
         tuple(tuple(row) for row in per_player),
         tuple(routed),
     )
-    check_fractional_flow(inst, flow)
     welfare = sum(
         (bids[i].amount / inst.requests[i].demand * routed[i] for i in range(n)), F0
     )
@@ -524,64 +524,23 @@ def rt_rule(inst: FlowInstance, epsilon) -> AllocationRule:
 # ------------------------------------------------------------------ integral
 
 
-@lru_cache(maxsize=32)
-def _feasible_assignments(inst: FlowInstance):
-    """Every capacity-respecting choice of one path (or none) per player.
-
-    Entries are choice tuples: 0 routes nothing, k routes the k-th enumerated
-    path. Listed in lexicographic order so a strict-improvement scan finds
-    the lexicographically smallest maximizer.
-    """
-    per_player_paths = [
-        enumerate_paths(inst, r.sink) for r in inst.requests
-    ]
-    edges = inst.graph.edges
-    found = []
-    choice = [0] * inst.n
-    load = [F0] * len(edges)
-
-    def recurse(i):
-        if len(found) > ASSIGNMENT_GUARD:
-            raise SizeGuardError("too many feasible path assignments")
-        if i == inst.n:
-            found.append(tuple(choice))
-            return
-        choice[i] = 0
-        recurse(i + 1)
-        d = inst.requests[i].demand
-        for k, path in enumerate(per_player_paths[i]):
-            if all(load[e] + d <= edges[e][2] for e in path):
-                for e in path:
-                    load[e] += d
-                choice[i] = k + 1
-                recurse(i + 1)
-                for e in path:
-                    load[e] -= d
-        choice[i] = 0
-
-    recurse(0)
-    return tuple(found), tuple(tuple(p) for p in per_player_paths)
-
-
 def solve_flow_integral(inst: FlowInstance, bids):
     """Exact declared-welfare maximizer over single-path assignments.
 
-    Ties break to the lexicographically smallest choice tuple (routing
-    nothing sorts before any path).
+    Each player routes nothing or one enumerated path carrying its whole
+    demand. mechanism.integral_argmax, the exhaustive search shared with the
+    packing maximizer, walks the assignments with loads in integer_units;
+    ties break to the lexicographically smallest choice tuple (routing
+    nothing sorts before any path). More than ASSIGNMENT_GUARD feasible
+    assignments raise SizeGuardError.
     """
     _check_flow_bids(inst, bids)
-    assignments, paths = _feasible_assignments(inst)
-    best = None
-    best_choice = None
-    for ch in assignments:
-        value = sum((bids[i].amount for i in range(inst.n) if ch[i] > 0), F0)
-        if best is None or value > best:
-            best = value
-            best_choice = ch
-    chosen = tuple(
-        paths[i][best_choice[i] - 1] if best_choice[i] > 0 else None
-        for i in range(inst.n)
-    )
+    paths = [enumerate_paths(inst, r.sink) for r in inst.requests]
+    demands, caps = inst.integer_units
+    options = [[[(e, d) for e in p] for p in ps] for ps, d in zip(paths, demands)]
+    weights = [[b.amount] * len(ps) for b, ps in zip(bids, paths)]
+    choices, best = integral_argmax(options, caps, weights, limit=ASSIGNMENT_GUARD)
+    chosen = tuple(ps[c - 1] if c else None for ps, c in zip(paths, choices))
     return PathAssignment(chosen), best
 
 

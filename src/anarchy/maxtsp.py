@@ -232,8 +232,11 @@ def max_weight_cycle_cover(g: CompleteDigraph, bids=None):
     return CycleCover(succ), total
 
 
-def _drop_options(cover: CycleCover) -> list:
-    """Per cycle, the paths left by dropping each of its edges in turn."""
+def _drop_options(cover: CycleCover, g: CompleteDigraph) -> list:
+    """Per cycle, the paths left by dropping each of its edges in turn; the
+    one check of fisher_round and fisher_support that the cover fits g."""
+    if cover.n != g.num_vertices:
+        raise StructuralError("cover size does not match the graph")
     return [
         [cyc[drop + 1 :] + cyc[: drop + 1] for drop in range(len(cyc))]
         for cyc in cover.cycles()
@@ -252,17 +255,16 @@ def fisher_round(cover: CycleCover, g: CompleteDigraph, seed) -> HamiltonianCycl
     closing the last back to the first. Never reads weights; a cover that is
     already a single cycle comes back unchanged for every seed.
     """
-    if cover.n != g.num_vertices:
-        raise StructuralError("cover size does not match the graph")
+    options = _drop_options(cover, g)
     rng = Random(seed)
-    return _chain([paths[rng.randrange(len(paths))] for paths in _drop_options(cover)])
+    return _chain([paths[rng.randrange(len(paths))] for paths in options])
 
 
 def fisher_support(cover: CycleCover, g: CompleteDigraph) -> list:
     """Exact (probability, tour) support of fisher_round, merged and sorted."""
     options = [
         [(Fraction(1, len(paths)), path) for path in paths]
-        for paths in _drop_options(cover)
+        for paths in _drop_options(cover, g)
     ]
     acc = {}
     for prob, paths in product_support(options):

@@ -29,7 +29,7 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
-from .rationals import F0, F1, HALF, frac, frac_str
+from .rationals import F0, F1, HALF, frac, frac_str, scale_to_integers
 
 GENERAL = "general"
 HALF_VALUE = "half-value"
@@ -51,6 +51,51 @@ def product_support(options) -> list:
     for opts in options:
         out = [(prob * p, choices + (c,)) for prob, choices in out for p, c in opts]
     return out
+
+
+def integral_argmax(options, capacities, weights, limit=None) -> tuple:
+    """Exhaustive integral maximizer, (choices, Fraction total).
+
+    options[i] lists player i's options, each as its resource use
+    [(resource, amount), ...]; weights[i][k] is the worth of options[i][k].
+    choices[i] is 0 for nothing or k + 1 for options[i][k], and a choice
+    tuple is feasible when no resource is used beyond capacities[resource].
+    Tuples are walked depth first, choice 0 before the options in order,
+    i.e. in lexicographic order, and the first strict maximum is kept: ties
+    go to the lexicographically smallest tuple. Totals are compared as ints,
+    the weights scaled once by the lcm of their denominators. Meeting more
+    than limit feasible tuples raises SizeGuardError.
+    """
+    ints, scale = scale_to_integers([w for ws in weights for w in ws])
+    flat = iter(ints)
+    scores = [list(itertools.islice(flat, len(ws))) for ws in weights]
+    n = len(options)
+    left = list(capacities)
+    choices = [0] * n
+    best, best_choices, met = -1, None, 0  # the first leaf, all zeros, scores 0
+
+    def walk(i, total):
+        nonlocal best, best_choices, met
+        if i == n:
+            met += 1
+            if limit is not None and met > limit:
+                raise SizeGuardError(f"more than {limit} feasible assignments")
+            if total > best:
+                best, best_choices = total, tuple(choices)
+            return
+        walk(i + 1, total)
+        for k, use in enumerate(options[i]):
+            if all(left[r] >= a for r, a in use):
+                for r, a in use:
+                    left[r] -= a
+                choices[i] = k + 1
+                walk(i + 1, total + scores[i][k])
+                for r, a in use:
+                    left[r] += a
+        choices[i] = 0
+
+    walk(0, 0)
+    return best_choices, Fraction(best, scale)
 
 
 class Valuation:

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
+from .mechanism import integral_argmax
 from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import IntegerProgram, solve_lp
 
@@ -247,18 +248,20 @@ def _dp_applicable(inst: PackingInstance) -> Optional[tuple]:
 
 def _solve_integral_dp(inst, bids, weights, cap):
     n, K = inst.n, inst.K
-    # dp[i][r]: best declared welfare from players i.. with r capacity left
-    dp = [[F0] * (cap + 1) for _ in range(n + 1)]
+    ints, scale = scale_to_integers([a for b in bids for a in b.amounts])
+    amounts = [ints[i * K : (i + 1) * K] for i in range(n)]
+    # dp[i][r]: best scaled declared welfare from players i.. with r left
+    dp = [[0] * (cap + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
         row = dp[i]
         nxt = dp[i + 1]
-        amounts = bids[i].amounts
+        a = amounts[i]
         w = weights[i]
         for r in range(cap + 1):
             best = nxt[r]
             for k in range(K):
                 if w[k] <= r:
-                    cand = amounts[k] + nxt[r - w[k]]
+                    cand = a[k] + nxt[r - w[k]]
                     if cand > best:
                         best = cand
             row[r] = best
@@ -270,74 +273,48 @@ def _solve_integral_dp(inst, bids, weights, cap):
             choices.append(0)  # smallest choice first: taking nothing is 0
             continue
         for k in range(K):
-            if weights[i][k] <= r and bids[i].amounts[k] + dp[i + 1][r - weights[i][k]] == target:
+            if weights[i][k] <= r and amounts[i][k] + dp[i + 1][r - weights[i][k]] == target:
                 choices.append(k + 1)
                 r -= weights[i][k]
                 break
         else:  # pragma: no cover - dp reconstruction cannot dead-end
             raise AssertionError("dp reconstruction failed")
-    return choices, dp[0][cap]
-
-
-def _solve_integral_brute(inst, bids):
-    n, K = inst.n, inst.K
-    if n * K > BRUTE_FORCE_CHOICE_BITS:
-        raise SizeGuardError(
-            f"{n * K} option choices exceed the exhaustive search guard"
-        )
-    caps = list(inst.capacities)
-    best_value = None
-    best_choices = None
-    choices = [0] * n
-
-    def recurse(i, acc):
-        nonlocal best_value, best_choices
-        if i == n:
-            if best_value is None or acc > best_value:
-                best_value = acc
-                best_choices = tuple(choices)
-            return
-        # choice 0 first keeps the first maximizer lexicographically smallest
-        choices[i] = 0
-        recurse(i + 1, acc)
-        for k in range(K):
-            ok = True
-            for l in range(inst.L):
-                a = inst.rows[l][i][k]
-                if a and caps[l] < a:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for l in range(inst.L):
-                caps[l] -= inst.rows[l][i][k]
-            choices[i] = k + 1
-            recurse(i + 1, acc + bids[i].amounts[k])
-            for l in range(inst.L):
-                caps[l] += inst.rows[l][i][k]
-        choices[i] = 0
-
-    recurse(0, F0)
-    return list(best_choices), best_value
+    return choices, Fraction(dp[0][cap], scale)
 
 
 def solve_packing_integral(inst: PackingInstance, bids):
     """Exact integral declared-welfare maximizer.
 
     Ties break toward the lexicographically smallest choice tuple, where 0
-    means "no option" and option k is recorded as k + 1. Single-constraint
-    instances with integer consumption use an exact capacity sweep; anything
-    else is searched exhaustively under a size guard.
+    means "no option" and option k is recorded as k + 1. Both paths score
+    the bids as integers scaled once by the lcm of their denominators.
+    Single-constraint instances with integer consumption use an exact
+    capacity sweep; anything else goes to mechanism.integral_argmax, the
+    exhaustive search shared with the flow maximizer, under the guard
+    n*K <= BRUTE_FORCE_CHOICE_BITS.
     """
     _check_bids(inst, bids)
+    n, K = inst.n, inst.K
     dp_data = _dp_applicable(inst)
     if dp_data is not None:
         choices, value = _solve_integral_dp(inst, bids, *dp_data)
     else:
-        choices, value = _solve_integral_brute(inst, bids)
+        if n * K > BRUTE_FORCE_CHOICE_BITS:
+            raise SizeGuardError(
+                f"{n * K} option choices exceed the exhaustive search guard"
+            )
+        options = [
+            [
+                [(l, row[i][k]) for l, row in enumerate(inst.rows) if row[i][k]]
+                for k in range(K)
+            ]
+            for i in range(n)
+        ]
+        choices, value = integral_argmax(
+            options, inst.capacities, [b.amounts for b in bids]
+        )
     x = tuple(
-        tuple(F1 if choices[i] == k + 1 else F0 for k in range(inst.K))
-        for i in range(inst.n)
+        tuple(F1 if choices[i] == k + 1 else F0 for k in range(K)) for i in range(n)
     )
     return PackingAllocation(x), value
 

@@ -144,15 +144,18 @@ def test_greedy_shared_sink_split():
 
 
 def test_greedy_matches_path_lp_random():
+    # greedy_fractional_flow does not check its own output: this sweep runs
+    # the checker on it, under truthful and random bids
     for inst in gen_flow_instances(60, seed=17):
         rng = Random(hash(inst) & 0xFFFF)
-        bids = tuple(
+        random_bids = tuple(
             RouteValuation(i, Fraction(rng.randint(0, 10), rng.choice((1, 2))))
             for i in range(inst.n)
         )
-        flow, welfare = greedy_fractional_flow(inst, bids)
-        check_fractional_flow(inst, flow)
-        assert welfare == solve_path_lp(inst, bids)
+        for bids in (truthful_flow_bids(inst), random_bids):
+            flow, welfare = greedy_fractional_flow(inst, bids)
+            check_fractional_flow(inst, flow)
+            assert welfare == solve_path_lp(inst, bids)
 
 
 def two_route_instance():
@@ -521,6 +524,18 @@ def test_integral_matches_brute_force():
         got, value = solve_flow_integral(inst, bids)
         assert value == expected
         assert got.paths == expected_paths
+
+
+def test_integral_assignment_guard(monkeypatch):
+    # six small players on one unit edge: 2^6 feasible assignments
+    inst = unit_edge_instance([(1, Fraction(1, 6), 1)] * 6)
+    bids = truthful_flow_bids(inst)
+    assert solve_flow_integral(inst, bids)[1] == 6
+    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 63)
+    with pytest.raises(SizeGuardError):
+        solve_flow_integral(inst, bids)
+    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 64)
+    assert solve_flow_integral(inst, bids)[1] == 6
 
 
 def test_integral_prefers_lex_smallest():

@@ -359,6 +359,17 @@ def test_fisher_support_size_guard():
         fisher_support(cover, uniform_digraph(27))
 
 
+@pytest.mark.parametrize(
+    "enumerate_tours",
+    [lambda cover, g: fisher_round(cover, g, 0), fisher_support],
+    ids=["fisher_round", "fisher_support"],
+)
+def test_fisher_rejects_a_cover_of_another_size(enumerate_tours):
+    # a 3-vertex cover on a 4-vertex graph would round to a 3-vertex tour
+    with pytest.raises(StructuralError, match="cover size does not match the graph"):
+        enumerate_tours(CycleCover((1, 2, 0)), uniform_digraph(4))
+
+
 def test_cc_social_cost_eight_vertices():
     cert = check_cc_social_cost(
         uniform_digraph(8), None, CycleCover((1, 0, 3, 2, 5, 4, 7, 6))

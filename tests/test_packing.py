@@ -214,6 +214,47 @@ def test_integral_dp_matches_exhaustive():
         assert lp_welfare >= welfare >= 0
 
 
+def _rescaled(inst, rng):
+    """The instance with every coefficient and capacity times a random
+    positive fraction, so the rows are no longer integer."""
+    def factor():
+        return Fraction(rng.randint(1, 5), rng.choice((2, 3)))
+
+    rows = [[[a * factor() for a in p] for p in row] for row in inst.rows]
+    caps = [c * factor() for c in inst.capacities]
+    return PackingInstance(inst.values, rows, caps)
+
+
+def test_integral_exhaustive_matches_oracle():
+    # gap and sparse-random instances with at least two rows, some with
+    # fractional coefficients: none of them takes the single-row sweep.
+    # Flat and 0/1 bids make ties between choice tuples common.
+    rng = Random(53)
+    for t in range(80):
+        n, K, L = rng.randint(1, 5), rng.randint(1, 3), rng.randint(2, 3)
+        if t % 2:
+            dims = {"n": n, "K": K, "L": L, "d": rng.randint(1, L)}
+            inst = gen_instances("sparse-random", 1, rng.getrandbits(32), **dims)[0]
+        else:
+            inst = gen_instances("gap", 1, rng.getrandbits(32), n=n, K=K, L=L)[0]
+        if t % 3 == 0:
+            inst = _rescaled(inst, rng)
+        A = [[list(p) for p in row] for row in inst.rows]
+        for bids in (
+            random_bids(inst, rng),
+            tuple(uniform_option_bid(inst, i, 1) for i in range(n)),
+            tuple(
+                OptionValuation(i, [rng.randint(0, 1) for _ in range(K)])
+                for i in range(n)
+            ),
+        ):
+            b = [list(v.amounts) for v in bids]
+            choices, value = best_integral_packing(b, A, inst.capacities)
+            alloc, welfare = solve_packing_integral(inst, bids)
+            assert welfare == value
+            assert alloc.choices() == choices
+
+
 def test_integral_size_guard():
     n, K = 11, 2
     values = [[1] * K for _ in range(n)]
