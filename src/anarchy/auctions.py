@@ -12,10 +12,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
-from math import comb, gcd, lcm
+from itertools import accumulate, combinations, islice
+from math import comb, gcd, lcm, prod
 from random import Random
 
+from . import packing
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import (
     AllocationRule,
@@ -32,7 +33,7 @@ from .packing import (
     solve_packing_lp,
     truthful_bids,
 )
-from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
+from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
 
 # unused here; kept while bench/tests/test_bench.py expects these bindings
 from .rationals import weighted_index  # noqa: F401
@@ -187,6 +188,12 @@ class SymmetricValuation(Valuation):
     @property
     def m(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def amounts(self) -> tuple:
+        """levels[1:]: the bid as a packing option bid, option j - 1 for
+        receiving j items."""
+        return self.levels[1:]
 
     def value(self, outcome) -> Fraction:
         if outcome is None:
@@ -345,16 +352,21 @@ class CardinalityLPSolution:
 
     def __init__(self, m, x):
         x = tuple(tuple(frac(v) for v in row) for row in x)
-        total = F0
+        # every entry times s, the lcm of their denominators: each row sum
+        # at most s and the item mass at most m * s
+        ints, s = scale_to_integers([v for row in x for v in row])
+        scaled = iter(ints)
+        mass = 0
         for row in x:
             if len(row) != m:
                 raise StructuralError("one variable per cardinality required")
-            if any(v < 0 for v in row):
+            a = tuple(islice(scaled, m))
+            if any(v < 0 for v in a):
                 raise StructuralError("allocations are nonnegative")
-            if sum(row) > 1:
+            if sum(a) > s:
                 raise StructuralError("a player receives at most one size in total")
-            total += sum(((j + 1) * v for j, v in enumerate(row) if v), F0)
-        if total > m:
+            mass += sum((j + 1) * v for j, v in enumerate(a) if v)
+        if mass > m * s:
             raise StructuralError("total item mass exceeds the supply")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "x", x)
@@ -401,23 +413,39 @@ def _require_symmetric(bids) -> None:
             raise PreconditionError("this operation needs symmetric bids")
 
 
-def _cardinality_instance(m: int, bids) -> tuple:
-    """Symmetric bids as an m-unit packing program, (instance, option bids)."""
+def _check_cardinality_bids(m: int, bids) -> None:
     _check_auction_bids(bids)
     _require_symmetric(bids)
     _check_levels(m, bids)
-    inst = multiunit_instance([b.levels[1:] for b in bids], m)
+
+
+def _cardinality_instance(m: int, bids) -> tuple:
+    """Symmetric bids as an m-unit packing program, (instance, option bids)."""
+    _check_cardinality_bids(m, bids)
+    inst = multiunit_instance([b.amounts for b in bids], m)
     return inst, truthful_bids(inst)
+
+
+@lru_cache(maxsize=64)
+def _cardinality_shape(n: int, m: int) -> PackingInstance:
+    """The m-unit program's constraints for n bidders, its rows compiled
+    once per shape; its values are zeros, the bids are the objective."""
+    return multiunit_instance(((F0,) * m,) * n, m)
 
 
 def solve_cardinality_lp(m: int, bids):
     """Exact cardinality-variable optimum, (CardinalityLPSolution, value).
 
     This is the one-row packing relaxation with row (1, ..., m) and
-    capacity m, solved by the packing module.
+    capacity m: packing._packing_lp on the program of its shape (n, m),
+    each bid's levels[1:] as its objective.
     """
-    alloc, value = solve_packing_lp(*_cardinality_instance(m, bids))
-    return CardinalityLPSolution(m, alloc.x), value
+    _check_cardinality_bids(m, bids)
+    n = len(bids)
+    shape = _cardinality_shape(n, m)
+    sol = packing._packing_lp(shape, bids, range(n), shape.capacities)
+    x = [sol.x[i * m : (i + 1) * m] for i in range(n)]
+    return CardinalityLPSolution(m, x), sol.value
 
 
 def solve_cardinality_integral(m: int, bids):
@@ -490,19 +518,29 @@ def fair_round(xbar: CardinalityLPSolution, m: int, seed) -> tuple:
 
 def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
     """Exact (probability, allocation) support of fair_round, sorted by
-    allocation: each coin's rounding_table, every weight over its D."""
+    allocation, from the rounding_table's integer weights.
+
+    A coin's joint draw weighs the product of its players' weights over T,
+    the product of their totals D; both coins are lifted to one denominator
+    2 * lcm(T_heads, T_tails), so each outcome is one Fraction.
+    """
     if xbar.m != m:
         raise StructuralError("solution was computed for a different supply")
-    acc = {}
+    coins = []
     for players in xbar.rounding_table:
         options = [
-            [(Fraction(b - a, total), size) for a, b, size in zip([0, *cum], cum, sizes)]
-            for sizes, cum, total in players
+            [(b - a, size) for a, b, size in zip([0, *cum], cum, sizes)]
+            for sizes, cum, _ in players
         ]
-        for prob, draws in product_support(options):
+        coins.append((prod(total for *_, total in players), product_support(options)))
+    common = lcm(*(T for T, _ in coins))
+    acc = {}
+    for T, support in coins:
+        lift = common // T
+        for w, draws in support:
             outcome = draws if sum(draws) <= m else tuple(0 for _ in draws)
-            acc[outcome] = acc.get(outcome, F0) + HALF * prob
-    return [(p, outcome) for outcome, p in sorted(acc.items())]
+            acc[outcome] = acc.get(outcome, 0) + w * lift
+    return [(Fraction(w, 2 * common), outcome) for outcome, w in sorted(acc.items())]
 
 
 # -------------------------------------------------------------------- rules

@@ -41,13 +41,15 @@ EXACT_SUPPORT_LIMIT = 10_000
 def product_support(options) -> list:
     """Joint (probability, choices) of independent draws, in product order.
 
-    options[k] lists the (probability, choice) pairs of the k-th draw. This
+    options[k] lists the (probability, choice) pairs of the k-th draw. Joint
+    probabilities keep the draws' type: Fractions stay Fractions and int
+    weights multiply as ints; with no draws, the one outcome has F1. This
     is the one size guard of the support enumerators: more than
     EXACT_SUPPORT_LIMIT combinations raise SizeGuardError before any is built.
     """
     if math.prod(len(opts) for opts in options) > EXACT_SUPPORT_LIMIT:
         raise SizeGuardError("rounding support too large to enumerate")
-    out = [(F1, ())]
+    out = [(1 if options else F1, ())]
     for opts in options:
         out = [(prob * p, choices + (c,)) for prob, choices in out for p, c in opts]
     return out

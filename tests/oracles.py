@@ -574,6 +574,27 @@ def fair_round_support_reference(xbar, m):
     return sorted(acc.items())
 
 
+def cardinality_point_reference(m, x):
+    """The feasibility check of a cardinality point in Fractions, as
+    CardinalityLPSolution made it before it worked in integers: per row its
+    length, its signs and its sum, then the item mass over all rows. Returns
+    the point's Fraction rows or raises the first violation's
+    StructuralError."""
+    x = tuple(tuple(Fraction(v) for v in row) for row in x)
+    total = F0
+    for row in x:
+        if len(row) != m:
+            raise StructuralError("one variable per cardinality required")
+        if any(v < 0 for v in row):
+            raise StructuralError("allocations are nonnegative")
+        if sum(row) > 1:
+            raise StructuralError("a player receives at most one size in total")
+        total += sum(((j + 1) * v for j, v in enumerate(row) if v), F0)
+    if total > m:
+        raise StructuralError("total item mass exceeds the supply")
+    return x
+
+
 def fisher_round_reference(cover, seed):
     """Tour rounding walked on the successor map: each cycle, taken from its
     smallest vertex, loses the edge out of the vertex one randrange over its

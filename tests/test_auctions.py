@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -46,10 +47,11 @@ from anarchy.mechanism import (
     poa_from_smoothness,
     verify_pure_nash,
 )
-from anarchy.packing import residual_welfare
+from anarchy.packing import residual_welfare, solve_packing_lp
 from anarchy.rationals import integer_weights
 
 from oracles import (
+    cardinality_point_reference,
     enumerate_draws,
     fair_options_reference,
     fair_round_reference,
@@ -424,11 +426,121 @@ def test_cardinality_solution_accepts_the_whole_supply():
         assert xbar.x == tuple(tuple(map(Fr, r)) for r in rows)
 
 
+def tight_cardinality_point(rng):
+    """(m, rows): a seeded point scaled until a row sums to exactly 1 or the
+    item mass is exactly m, whichever binds first (sometimes both)."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    den = rng.choice((1, 2, 3, 4, 6, 7))
+    rows = [
+        [Fr(rng.randint(1, 2 * den), den) if rng.random() < 0.6 else Fr(0) for _ in range(m)]
+        for _ in range(n)
+    ]
+    rows[rng.randrange(n)][rng.randrange(m)] += 1  # never all zero
+    biggest = max(sum(row) for row in rows)
+    mass = sum((j + 1) * v for row in rows for j, v in enumerate(row))
+    t = min(1 / biggest, Fr(m) / mass)
+    return m, [[v * t for v in row] for row in rows]
+
+
+def cardinality_faults(rng, m, rows):
+    """Faults that edit a copy of rows in place: an entry raised by 1/L, L
+    the lcm of the point's denominators (on the fullest row, or the largest
+    size to raise the mass by m/L), an entry set to -1/L, a row one entry
+    too long or too short. A fault on an emptied row appends its entry."""
+    step = Fr(1, lcm(*(v.denominator for row in rows for v in row)))
+    fullest = max(range(len(rows)), key=lambda i: sum(rows[i]))
+
+    def change(row, k, entry):
+        if row:
+            row[k % len(row)] = entry(row[k % len(row)])
+        else:
+            row.append(entry(Fr(0)))
+
+    def over_row(x):
+        change(x[fullest], rng.randrange(m), lambda v: v + step)
+
+    def over_mass(x):
+        change(x[rng.randrange(len(x))], m - 1, lambda v: v + step)
+
+    def negative(x):
+        change(x[rng.randrange(len(x))], rng.randrange(m), lambda v: -step)
+
+    def too_long(x):
+        x[rng.randrange(len(x))].append(Fr(0))
+
+    def too_short(x):
+        x[rng.randrange(len(x))].pop()
+
+    return over_row, over_mass, negative, too_long, too_short
+
+
+def test_cardinality_point_check_matches_the_fraction_reference():
+    # accept or the same first error, on points at the boundary, just over
+    # it, and with one or two faults (whose order decides the message)
+    def verdict(check, m, rows):
+        try:
+            return check(m, rows)
+        except StructuralError as err:
+            return str(err)
+
+    def solution_rows(m, rows):
+        return CardinalityLPSolution(m, rows).x
+
+    rng = Random(67)
+    seen = {}
+    tight_rows = tight_mass = 0
+    for _ in range(400):
+        m, rows = tight_cardinality_point(rng)
+        faults = cardinality_faults(rng, m, rows)
+        points = [rows]
+        for fault in faults:
+            points.append([list(row) for row in rows])
+            fault(points[-1])
+        for _ in range(3):
+            points.append([list(row) for row in rows])
+            for fault in rng.sample(faults, 2):
+                fault(points[-1])
+        for x in points:
+            got = verdict(solution_rows, m, x)
+            assert got == verdict(cardinality_point_reference, m, x), (m, x)
+            key = got if isinstance(got, str) else "accepted"
+            seen[key] = seen.get(key, 0) + 1
+        if not isinstance(verdict(solution_rows, m, rows), str):
+            tight_rows += any(sum(row) == 1 for row in rows)
+            tight_mass += sum((j + 1) * v for row in rows for j, v in enumerate(row)) == m
+    assert tight_rows > 100 and tight_mass > 100
+    assert set(seen) == {
+        "accepted",
+        "one variable per cardinality required",
+        "allocations are nonnegative",
+        "a player receives at most one size in total",
+        "total item mass exceeds the supply",
+    }
+    assert min(seen.values()) > 100
+
+
+def test_cardinality_lp_on_its_shape_equals_the_instance_path():
+    # scaled and flat bids, and no bidders, as well as the seeded values
+    rng = Random(73)
+    cases = [(m, ()) for m in (1, 2, 5)]
+    for m, values in gen_symmetric_instances(40, seed=79):
+        cases.append((m, values))
+        cases.append((m, tuple(v.scale(Fr(rng.randint(0, 4), 2)) for v in values)))
+        flat = tuple(flat_symmetric_bid(m, i, rng.randint(0, 3)) for i in range(len(values)))
+        cases.append((m, flat))
+    for m, bids in cases:
+        xbar, value = solve_cardinality_lp(m, bids)
+        alloc, expected = solve_packing_lp(*auctions._cardinality_instance(m, bids))
+        assert (xbar.x, value) == (alloc.x, expected)
+    assert auctions._cardinality_shape(3, 2) is auctions._cardinality_shape(3, 2)
+
+
 def test_cardinality_lp_without_bidders():
     xbar, value = solve_cardinality_lp(2, ())
     assert (xbar, value) == (CardinalityLPSolution(2, ()), 0)
     assert fair_round(xbar, 2, 5) == ()
-    assert fair_round_support(xbar, 2) == [(1, ())]
+    [(p, outcome)] = fair_round_support(xbar, 2)
+    assert (type(p), p, outcome) == (Fr, 1, ())
     assert solve_cardinality_integral(2, ()) == ((), 0)
 
 
@@ -641,6 +753,7 @@ def test_fair_round_draws_enumerate_to_the_exact_support():
         support = fair_round_support(xbar, m)
         reference = fair_round_support_reference(xbar, m)
         assert support == [(p, r) for r, p in reference]
+        assert all(type(p) is Fr for p, _ in support)
         assert enumerate_draws(draw, auctions) == {r: p for p, r in support}
     assert leaves > 30_000
 

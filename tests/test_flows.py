@@ -262,6 +262,13 @@ def test_rt_zero_flow_routes_nothing():
     assert support == [(F1, rt_round(flow, inst, 1, seed=5))]
 
 
+def test_rt_support_without_requests_is_one_fraction():
+    inst = FlowInstance(CapacitatedDigraph(2, [(0, 1, 1)]), 0, [])
+    flow, _ = greedy_fractional_flow(inst, truthful_flow_bids(inst))
+    [(p, assignment)] = rt_support(flow, inst, 1)
+    assert type(p) is Fraction and p == 1 and assignment.paths == ()
+
+
 def test_rt_half_half_support():
     g = CapacitatedDigraph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
     inst = FlowInstance(g, 0, [(3, 1, 4)])

@@ -314,6 +314,21 @@ def test_product_support_matches_the_per_combination_reference():
         product_support(too_many)
 
 
+def test_product_support_keeps_the_weight_type():
+    # Fractions stay Fractions, with no draws or zero draws too; int
+    # weights stay ints
+    fractions = [[(Fraction(1, 3), "a"), (F0, "b"), (Fraction(2, 3), "c")], [(F1, 0)]]
+    for options in ([], [[]], fractions):
+        support = product_support(options)
+        assert all(type(p) is Fraction for p, _ in support)
+        assert support == product_support_reference(options)
+    assert product_support([]) == [(F1, ())]
+    ints = [[(1, "a"), (0, "b"), (2, "c")], [(3, 0), (1, 1)]]
+    support = product_support(ints)
+    assert all(type(p) is int for p, _ in support)
+    assert [p for p, _ in support] == [3, 1, 0, 0, 6, 2]
+
+
 def test_scaled_bid_profiles_cover_product():
     values = item_bids(2, 3)
     profiles = scaled_bid_profiles(values, theta_grid(2))
