@@ -26,6 +26,7 @@ from .mechanism import (
     product_support,
 )
 from .packing import (
+    OptionValuation,
     PackingInstance,
     multiunit_instance,
     residual_loss,
@@ -450,8 +451,11 @@ def solve_cardinality_lp(m: int, bids):
 
 def solve_cardinality_integral(m: int, bids):
     """Best integral allocation of sizes, (R tuple, value); ties prefer
-    giving nothing, then smaller sizes to earlier players."""
-    alloc, value = solve_packing_integral(*_cardinality_instance(m, bids))
+    giving nothing, then smaller sizes to earlier players. Solved on the
+    program of its shape, like solve_cardinality_lp."""
+    _check_cardinality_bids(m, bids)
+    option_bids = tuple(OptionValuation(i, b.amounts) for i, b in enumerate(bids))
+    alloc, value = solve_packing_integral(_cardinality_shape(len(bids), m), option_bids)
     return tuple(alloc.choices()), value
 
 

@@ -36,7 +36,7 @@ from .solvers import CapacitatedDigraph, LinearProgram, Residual, max_flow, solv
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
-ASSIGNMENT_GUARD = 1_000_000  # feasible integral assignments searched before refusing
+ASSIGNMENT_GUARD = 1_000_000  # feasible assignments searched before refusing
 
 
 @dataclass(frozen=True)
@@ -528,11 +528,13 @@ def solve_flow_integral(inst: FlowInstance, bids):
     """Exact declared-welfare maximizer over single-path assignments.
 
     Each player routes nothing or one enumerated path carrying its whole
-    demand. mechanism.integral_argmax, the exhaustive search shared with the
-    packing maximizer, walks the assignments with loads in integer_units;
-    ties break to the lexicographically smallest choice tuple (routing
-    nothing sorts before any path). More than ASSIGNMENT_GUARD feasible
-    assignments raise SizeGuardError.
+    demand. mechanism.integral_argmax, the integral maximizer shared with
+    the packing domain, takes the loads in integer_units; ties break to the
+    lexicographically smallest choice tuple (routing nothing sorts before
+    any path). A one-edge graph whose capacity in integer_units is at most
+    SWEEP_CAPACITY_LIMIT is swept; anything else is searched, and meeting
+    more than ASSIGNMENT_GUARD feasible assignments there raises
+    SizeGuardError.
     """
     _check_flow_bids(inst, bids)
     paths = [enumerate_paths(inst, r.sink) for r in inst.requests]

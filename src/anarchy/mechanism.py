@@ -36,6 +36,8 @@ HALF_VALUE = "half-value"
 
 # Largest support the enumerators build; beyond it expectations are sampled.
 EXACT_SUPPORT_LIMIT = 10_000
+# Largest one-resource capacity integral_argmax sweeps rather than searches.
+SWEEP_CAPACITY_LIMIT = 100_000
 
 
 def product_support(options) -> list:
@@ -55,22 +57,36 @@ def product_support(options) -> list:
     return out
 
 
-def integral_argmax(options, capacities, weights, limit=None) -> tuple:
-    """Exhaustive integral maximizer, (choices, Fraction total).
+def integral_argmax(
+    options, capacities, weights, limit=None, choice_limit=None
+) -> tuple:
+    """Exact integral maximizer, (choices, Fraction total).
 
     options[i] lists player i's options, each as its resource use
-    [(resource, amount), ...]; weights[i][k] is the worth of options[i][k].
-    choices[i] is 0 for nothing or k + 1 for options[i][k], and a choice
-    tuple is feasible when no resource is used beyond capacities[resource].
-    Tuples are walked depth first, choice 0 before the options in order,
-    i.e. in lexicographic order, and the first strict maximum is kept: ties
-    go to the lexicographically smallest tuple. Totals are compared as ints,
-    the weights scaled once by the lcm of their denominators. Meeting more
-    than limit feasible tuples raises SizeGuardError.
+    [(resource, int amount), ...], a resource at most once; weights[i][k]
+    is the worth of options[i][k]. choices[i] is 0 for nothing or k + 1 for
+    options[i][k], feasible when no resource is used beyond the int
+    capacities[resource]. Ties go to the lexicographically smallest tuple;
+    totals are compared as ints, the weights scaled once to integers.
+
+    One resource of capacity at most SWEEP_CAPACITY_LIMIT is answered by a
+    0/1 knapsack sweep over the capacity left. Anything else is searched
+    depth first, choice 0 before the options in order, keeping the first
+    strict maximum. Only the search is guarded, by SizeGuardError: more
+    than choice_limit options in all before the walk, or meeting more than
+    limit feasible tuples.
     """
     ints, scale = scale_to_integers([w for ws in weights for w in ws])
     flat = iter(ints)
     scores = [list(itertools.islice(flat, len(ws))) for ws in weights]
+    if len(capacities) == 1 and capacities[0] <= SWEEP_CAPACITY_LIMIT:
+        amounts = [[use[0][1] if use else 0 for use in opts] for opts in options]
+        return _capacity_sweep(amounts, scores, capacities[0], scale)
+    count = sum(map(len, options))
+    if choice_limit is not None and count > choice_limit:
+        raise SizeGuardError(
+            f"{count} option choices exceed the exhaustive search guard"
+        )
     n = len(options)
     left = list(capacities)
     choices = [0] * n
@@ -98,6 +114,35 @@ def integral_argmax(options, capacities, weights, limit=None) -> tuple:
 
     walk(0, 0)
     return best_choices, Fraction(best, scale)
+
+
+def _capacity_sweep(amounts, scores, cap, scale) -> tuple:
+    """integral_argmax on one resource: best[i][r] is the top total of
+    players i.. with r capacity left, built from the last player back, and
+    the walk forward keeps the smallest choice that still reaches it. A row
+    never falls as r grows, so an option scoring 0 never raises one."""
+    best = [[0] * (cap + 1)]
+    for use, score in zip(reversed(amounts), reversed(scores)):
+        nxt = best[-1]
+        row = nxt[:]
+        for a, s in zip(use, score):
+            if s and a <= cap:
+                row[a:] = [x if x >= y + s else y + s for x, y in zip(row[a:], nxt)]
+        best.append(row)
+    best.reverse()
+    choices, r = [], cap
+    for i, (use, score) in enumerate(zip(amounts, scores)):
+        top, nxt = best[i][r], best[i + 1]
+        c = 0
+        if nxt[r] != top:
+            c = next(
+                k
+                for k, (a, s) in enumerate(zip(use, score), 1)
+                if a <= r and s + nxt[r - a] == top
+            )
+            r -= use[c - 1]
+        choices.append(c)
+    return tuple(choices), Fraction(best[0][cap], scale)
 
 
 class Valuation:

@@ -20,16 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Optional
 
-from .errors import PreconditionError, SizeGuardError, StructuralError
+from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
 from .mechanism import integral_argmax
 from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import IntegerProgram, solve_lp
 
 BRUTE_FORCE_CHOICE_BITS = 20  # exhaustive integral search guard: n*K at most this
-DP_CAPACITY_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,22 @@ class PackingInstance:
             scale_to_integers([a for player in row for a in player])
             for row in self.rows
         )
+
+    @cached_property
+    def integer_program(self) -> tuple:
+        """(options, capacities) in ints for mechanism.integral_argmax:
+        integer_rows under the instance's capacities, scaled as in
+        _packing_lp; option k of player i lists the rows it uses."""
+        rows = [
+            ([a * c.denominator for a in ints], s * c.numerator)
+            for (ints, s), c in zip(self.integer_rows, self.capacities)
+        ]
+        K = self.K
+        uses = [
+            [(l, row[j]) for l, (row, _) in enumerate(rows) if row[j]]
+            for j in range(self.n * K)
+        ]
+        return [uses[i * K : (i + 1) * K] for i in range(self.n)], [c for _, c in rows]
 
     def to_dict(self) -> dict:
         return {
@@ -227,92 +241,22 @@ def solve_packing_lp(inst: PackingInstance, bids):
     return PackingAllocation(x), sol.value
 
 
-def _dp_applicable(inst: PackingInstance) -> Optional[tuple]:
-    """Single-row instances with integer data admit an exact knapsack sweep."""
-    if inst.L != 1:
-        return None
-    weights = []
-    for i in range(inst.n):
-        row = []
-        for k in range(inst.K):
-            a = inst.rows[0][i][k]
-            if a.denominator != 1:
-                return None
-            row.append(a.numerator)
-        weights.append(row)
-    cap = inst.capacities[0]
-    if cap.denominator != 1 or cap.numerator > DP_CAPACITY_GUARD:
-        return None
-    return weights, cap.numerator
-
-
-def _solve_integral_dp(inst, bids, weights, cap):
-    n, K = inst.n, inst.K
-    ints, scale = scale_to_integers([a for b in bids for a in b.amounts])
-    amounts = [ints[i * K : (i + 1) * K] for i in range(n)]
-    # dp[i][r]: best scaled declared welfare from players i.. with r left
-    dp = [[0] * (cap + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = dp[i]
-        nxt = dp[i + 1]
-        a = amounts[i]
-        w = weights[i]
-        for r in range(cap + 1):
-            best = nxt[r]
-            for k in range(K):
-                if w[k] <= r:
-                    cand = a[k] + nxt[r - w[k]]
-                    if cand > best:
-                        best = cand
-            row[r] = best
-    choices = []
-    r = cap
-    for i in range(n):
-        target = dp[i][r]
-        if dp[i + 1][r] == target:
-            choices.append(0)  # smallest choice first: taking nothing is 0
-            continue
-        for k in range(K):
-            if weights[i][k] <= r and amounts[i][k] + dp[i + 1][r - weights[i][k]] == target:
-                choices.append(k + 1)
-                r -= weights[i][k]
-                break
-        else:  # pragma: no cover - dp reconstruction cannot dead-end
-            raise AssertionError("dp reconstruction failed")
-    return choices, Fraction(dp[0][cap], scale)
-
-
 def solve_packing_integral(inst: PackingInstance, bids):
     """Exact integral declared-welfare maximizer.
 
     Ties break toward the lexicographically smallest choice tuple, where 0
-    means "no option" and option k is recorded as k + 1. Both paths score
-    the bids as integers scaled once by the lcm of their denominators.
-    Single-constraint instances with integer consumption use an exact
-    capacity sweep; anything else goes to mechanism.integral_argmax, the
-    exhaustive search shared with the flow maximizer, under the guard
-    n*K <= BRUTE_FORCE_CHOICE_BITS.
+    means "no option" and option k is recorded as k + 1. The answer comes
+    from mechanism.integral_argmax, the one integral maximizer shared with
+    the flow domain, on inst.integer_program. A single row whose scaled
+    capacity is at most SWEEP_CAPACITY_LIMIT is swept; anything else is
+    searched under the guard n*K <= BRUTE_FORCE_CHOICE_BITS.
     """
     _check_bids(inst, bids)
     n, K = inst.n, inst.K
-    dp_data = _dp_applicable(inst)
-    if dp_data is not None:
-        choices, value = _solve_integral_dp(inst, bids, *dp_data)
-    else:
-        if n * K > BRUTE_FORCE_CHOICE_BITS:
-            raise SizeGuardError(
-                f"{n * K} option choices exceed the exhaustive search guard"
-            )
-        options = [
-            [
-                [(l, row[i][k]) for l, row in enumerate(inst.rows) if row[i][k]]
-                for k in range(K)
-            ]
-            for i in range(n)
-        ]
-        choices, value = integral_argmax(
-            options, inst.capacities, [b.amounts for b in bids]
-        )
+    weights = [b.amounts for b in bids]
+    choices, value = integral_argmax(
+        *inst.integer_program, weights, choice_limit=BRUTE_FORCE_CHOICE_BITS
+    )
     x = tuple(
         tuple(F1 if choices[i] == k + 1 else F0 for k in range(K)) for i in range(n)
     )

@@ -533,9 +533,33 @@ def test_integral_matches_brute_force():
         assert got.paths == expected_paths
 
 
+def test_integral_sweep_matches_brute_force():
+    # one edge of fractional capacity is swept, not searched; fractional
+    # demands with flat and zero bids make ties between assignments common
+    rng = Random(59)
+    for t in range(120):
+        cap = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        requests = [
+            (1, Fraction(rng.randint(1, 4), rng.choice((1, 2, 3))), 1)
+            for _ in range(rng.randint(0, 7))
+        ]
+        inst = FlowInstance(CapacitatedDigraph(2, [(0, 1, cap)]), 0, requests)
+        levels = (
+            lambda: Fraction(rng.randint(0, 8), rng.choice((1, 2))),
+            lambda: F1,
+            lambda: F0,
+        )[t % 3]
+        bids = tuple(RouteValuation(i, levels()) for i in range(inst.n))
+        expected_paths, expected = brute_force_integral(inst, bids)
+        got, value = solve_flow_integral(inst, bids)
+        assert value == expected
+        assert got.paths == expected_paths
+
+
 def test_integral_assignment_guard(monkeypatch):
-    # six small players on one unit edge: 2^6 feasible assignments
-    inst = unit_edge_instance([(1, Fraction(1, 6), 1)] * 6)
+    # six small players on two unit edges in series: 2^6 feasible assignments
+    g = CapacitatedDigraph(3, [(0, 1, 1), (1, 2, 1)])
+    inst = FlowInstance(g, 0, [(2, Fraction(1, 6), 1)] * 6)
     bids = truthful_flow_bids(inst)
     assert solve_flow_integral(inst, bids)[1] == 6
     monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 63)
@@ -577,6 +601,14 @@ def test_counterexample_is_pure_nash_m4():
     ce = gen_flow_counterexample(4)
     grids = counterexample_flow_deviations(ce, resolution=4)
     cert = verify_pure_nash(ce.rule, ce.bids, ce.values, grids)
+    assert cert.is_nash and cert.max_regret == 0
+
+
+def test_counterexample_is_pure_nash_m20():
+    # 22 players on one edge: beyond the assignment guard, so it is swept
+    ce = gen_flow_counterexample(20)
+    assert ce.ratio == 10
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, counterexample_flow_deviations(ce))
     assert cert.is_nash and cert.max_regret == 0
 
 

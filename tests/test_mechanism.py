@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from anarchy import auctions, dynamics, flows, maxtsp, packing
+from anarchy import auctions, dynamics, flows, maxtsp, mechanism, packing
 from anarchy.auctions import SymmetricValuation, fair_rule, gen_symmetric_instances
 from anarchy.errors import SizeGuardError, StructuralError
 from anarchy.flows import gen_flow_instances, rt_rule, truthful_flow_bids
@@ -20,6 +20,7 @@ from anarchy.mechanism import (
     check_smoothness,
     compose_smoothness,
     expected_run,
+    integral_argmax,
     poa_from_smoothness,
     product_support,
     run_pay_your_bid,
@@ -28,6 +29,7 @@ from anarchy.mechanism import (
     verify_pure_nash,
 )
 from anarchy.rationals import F0, F1, frac
+from anarchy.solvers import CapacitatedDigraph
 from oracles import product_support_reference, smoothness_by_support
 
 H = Fraction(1, 2)
@@ -327,6 +329,38 @@ def test_product_support_keeps_the_weight_type():
     support = product_support(ints)
     assert all(type(p) is int for p, _ in support)
     assert [p for p, _ in support] == [3, 1, 0, 0, 6, 2]
+
+
+def test_integral_argmax_search_fallback(monkeypatch):
+    # one edge of capacity 2: three light players (1/3) and three heavy ones
+    # (1), so the optimum 5 routes the light ones and one heavy one of three
+    edge = CapacitatedDigraph(2, [(0, 1, 2)])
+    inst = flows.FlowInstance(edge, 0, [(1, Fraction(1, 3), 1)] * 3 + [(1, 1, 2)] * 3)
+    bids = flows.truthful_flow_bids(inst)
+    demands, caps = inst.integer_units
+    options = [[[(0, d)]] for d in demands]
+    weights = [[b.amount] for b in bids]
+    twin = packing.PackingInstance(
+        [[b.amount] for b in bids], [[[d] for d in demands]], caps
+    )
+    swept = integral_argmax(options, caps, weights, limit=1, choice_limit=1)
+    assert swept == ((1, 1, 1, 0, 0, 1), 5)  # ties go to the lex-smallest tuple
+    assert flows.solve_flow_integral(inst, bids)[0].paths == ((0,),) * 3 + (None, None, (0,))
+    assert packing.solve_packing_integral(twin, packing.truthful_bids(twin))[1] == 5
+    # below the integer capacity the same answer comes from the search,
+    # which alone is guarded
+    monkeypatch.setattr(mechanism, "SWEEP_CAPACITY_LIMIT", caps[0] - 1)
+    assert integral_argmax(options, caps, weights) == swept
+    with pytest.raises(SizeGuardError, match="feasible assignments"):
+        integral_argmax(options, caps, weights, limit=1)
+    with pytest.raises(SizeGuardError, match="6 option choices"):
+        integral_argmax(options, caps, weights, choice_limit=5)
+    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 1)
+    with pytest.raises(SizeGuardError):
+        flows.solve_flow_integral(inst, bids)
+    monkeypatch.setattr(packing, "BRUTE_FORCE_CHOICE_BITS", 5)
+    with pytest.raises(SizeGuardError):
+        packing.solve_packing_integral(twin, packing.truthful_bids(twin))
 
 
 def test_scaled_bid_profiles_cover_product():

@@ -197,21 +197,23 @@ def test_integral_truthful_m4():
 
 
 def test_integral_dp_matches_exhaustive():
-    rng = Random(31)
+    rng, scaler = Random(31), Random(97)
     for _ in range(60):
         n = rng.randint(1, 4)
         m = rng.randint(1, 3)
         inst = gen_instances("multi-unit", 1, rng.getrandbits(32), n=n, m=m)[0]
         bids = random_bids(inst, rng)
         b = [list(v.amounts) for v in bids]
-        A = [[list(p) for p in row] for row in inst.rows]
-        choices, value = best_integral_packing(b, A, inst.capacities)
-        alloc, welfare = solve_packing_integral(inst, bids)
-        assert welfare == value
-        assert alloc.choices() == choices
-        # relaxation dominates the integral optimum
-        _, lp_welfare = solve_packing_lp(inst, bids)
-        assert lp_welfare >= welfare >= 0
+        # the fractional rescaling is one row too, so it is swept as well
+        for inst in (inst, _rescaled(inst, scaler)):
+            A = [[list(p) for p in row] for row in inst.rows]
+            choices, value = best_integral_packing(b, A, inst.capacities)
+            alloc, welfare = solve_packing_integral(inst, bids)
+            assert welfare == value
+            assert alloc.choices() == choices
+            # relaxation dominates the integral optimum
+            _, lp_welfare = solve_packing_lp(inst, bids)
+            assert lp_welfare >= welfare >= 0
 
 
 def _rescaled(inst, rng):
