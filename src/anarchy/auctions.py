@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, islice
 from math import comb, gcd, lcm, prod
 from random import Random
+from typing import ClassVar
 
 from . import packing
 from .errors import PreconditionError, SizeGuardError, StructuralError
@@ -23,14 +24,13 @@ from .mechanism import (
     CostCertificate,
     Counterexample,
     Valuation,
+    integral_argmax,
     product_support,
 )
 from .packing import (
-    OptionValuation,
     PackingInstance,
     multiunit_instance,
     residual_loss,
-    solve_packing_integral,
     solve_packing_lp,
     truthful_bids,
 )
@@ -69,9 +69,9 @@ class MPHkValuation(Valuation):
     player: int
     k: int
     clauses: tuple
-    domain: str = "auction"
+    domain: ClassVar[str] = "auction"
 
-    def __init__(self, player, k, clauses, domain="auction"):
+    def __init__(self, player, k, clauses):
         if k < 1:
             raise StructuralError("hierarchy level starts at 1")
         canon = []
@@ -91,7 +91,6 @@ class MPHkValuation(Valuation):
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "clauses", tuple(canon))
-        object.__setattr__(self, "domain", domain)
 
     def value(self, outcome) -> Fraction:
         if outcome is None:
@@ -167,9 +166,9 @@ class SymmetricValuation(Valuation):
 
     player: int
     levels: tuple  # levels[0] == 0, indices 0..m
-    domain: str = "auction"
+    domain: ClassVar[str] = "auction"
 
-    def __init__(self, player, levels, domain="auction"):
+    def __init__(self, player, levels):
         levels = tuple(frac(x) for x in levels)
         if not levels or levels[0] != 0:
             raise StructuralError("receiving nothing is worth exactly zero")
@@ -177,10 +176,9 @@ class SymmetricValuation(Valuation):
             raise StructuralError("bids and values must be nonnegative")
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "domain", domain)
         # bid profiles key the relaxation cache and Fraction hashes are not
-        # cheap; the domain string is left out so the hash, unlike a str
-        # hash, is the same in every process that unpickles the valuation
+        # cheap, so the hash is taken once; no str field enters it, so it is
+        # the same in every process that unpickles the valuation
         object.__setattr__(self, "_hash", hash((player, levels)))
 
     def __hash__(self) -> int:
@@ -451,12 +449,12 @@ def solve_cardinality_lp(m: int, bids):
 
 def solve_cardinality_integral(m: int, bids):
     """Best integral allocation of sizes, (R tuple, value); ties prefer
-    giving nothing, then smaller sizes to earlier players. Solved on the
-    program of its shape, like solve_cardinality_lp."""
+    giving nothing, then smaller sizes to earlier players. Solved by
+    mechanism.integral_argmax on the program of its shape, like
+    solve_cardinality_lp."""
     _check_cardinality_bids(m, bids)
-    option_bids = tuple(OptionValuation(i, b.amounts) for i, b in enumerate(bids))
-    alloc, value = solve_packing_integral(_cardinality_shape(len(bids), m), option_bids)
-    return tuple(alloc.choices()), value
+    program = _cardinality_shape(len(bids), m).integer_program
+    return integral_argmax(*program, [b.amounts for b in bids])
 
 
 def translate_to_cardinality(x: ConfigLPSolution, bids) -> CardinalityLPSolution:

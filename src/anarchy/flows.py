@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from random import Random
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .errors import (
     InfeasibleMatchingError,
@@ -36,7 +36,6 @@ from .solvers import CapacitatedDigraph, LinearProgram, Residual, max_flow, solv
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
-ASSIGNMENT_GUARD = 1_000_000  # feasible assignments searched before refusing
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,17 @@ class FlowInstance:
             tuple(int(c * scale) for c in caps),
         )
 
+    @cached_property
+    def integer_program(self) -> tuple:
+        """(paths, options, capacities) for mechanism.integral_argmax,
+        built once: paths[i] lists request i's enumerated paths, and
+        option k of player i loads each edge of paths[i][k] with its
+        demand in integer_units."""
+        paths = [enumerate_paths(self, r.sink) for r in self.requests]
+        demands, caps = self.integer_units
+        options = [[[(e, d) for e in p] for p in ps] for ps, d in zip(paths, demands)]
+        return paths, options, caps
+
     def to_dict(self) -> dict:
         return {
             "vertices": self.graph.num_vertices,
@@ -131,15 +141,14 @@ class RouteValuation(Valuation):
 
     player: int
     amount: Fraction
-    domain: str = "flow"
+    domain: ClassVar[str] = "flow"
 
-    def __init__(self, player, amount, domain="flow"):
+    def __init__(self, player, amount):
         amount = frac(amount)
         if amount < 0:
             raise StructuralError("bids and values must be nonnegative")
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "domain", domain)
 
     def value(self, outcome) -> Fraction:
         if outcome is None:
@@ -531,17 +540,16 @@ def solve_flow_integral(inst: FlowInstance, bids):
     demand. mechanism.integral_argmax, the integral maximizer shared with
     the packing domain, takes the loads in integer_units; ties break to the
     lexicographically smallest choice tuple (routing nothing sorts before
-    any path). A one-edge graph whose capacity in integer_units is at most
-    SWEEP_CAPACITY_LIMIT is swept; anything else is searched, and meeting
-    more than ASSIGNMENT_GUARD feasible assignments there raises
-    SizeGuardError.
+    any path). The paths and loads are inst.integer_program, built once per
+    instance; a solve only builds the weights. A one-edge graph whose
+    capacity in integer_units is at most SWEEP_CAPACITY_LIMIT is swept;
+    anything else is searched, and meeting more than SEARCH_LIMIT feasible
+    tuples there raises SizeGuardError.
     """
     _check_flow_bids(inst, bids)
-    paths = [enumerate_paths(inst, r.sink) for r in inst.requests]
-    demands, caps = inst.integer_units
-    options = [[[(e, d) for e in p] for p in ps] for ps, d in zip(paths, demands)]
+    paths, options, caps = inst.integer_program
     weights = [[b.amount] * len(ps) for b, ps in zip(bids, paths)]
-    choices, best = integral_argmax(options, caps, weights, limit=ASSIGNMENT_GUARD)
+    choices, best = integral_argmax(options, caps, weights)
     chosen = tuple(ps[c - 1] if c else None for ps, c in zip(paths, choices))
     return PathAssignment(chosen), best
 
@@ -636,15 +644,14 @@ class MatroidOracle:
 class MatroidValuation(Valuation):
     player: int
     amount: Fraction
-    domain: str = "matroid"
+    domain: ClassVar[str] = "matroid"
 
-    def __init__(self, player, amount, domain="matroid"):
+    def __init__(self, player, amount):
         amount = frac(amount)
         if amount < 0:
             raise StructuralError("bids and values must be nonnegative")
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "domain", domain)
 
     def value(self, outcome) -> Fraction:
         if outcome is None:

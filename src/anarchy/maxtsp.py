@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from typing import ClassVar
 
 from .errors import SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Valuation, product_support
@@ -75,9 +76,9 @@ class EdgeValuation(Valuation):
     u: int
     v: int
     amount: Fraction
-    domain: str = "maxtsp"
+    domain: ClassVar[str] = "maxtsp"
 
-    def __init__(self, player, u, v, amount, domain="maxtsp"):
+    def __init__(self, player, u, v, amount):
         amount = frac(amount)
         if amount < 0:
             raise StructuralError("bids and values must be nonnegative")
@@ -87,7 +88,6 @@ class EdgeValuation(Valuation):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "domain", domain)
 
     def value(self, outcome) -> Fraction:
         if outcome is None:

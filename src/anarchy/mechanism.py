@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .rationals import F0, F1, HALF, frac, frac_str, scale_to_integers
@@ -38,6 +38,8 @@ HALF_VALUE = "half-value"
 EXACT_SUPPORT_LIMIT = 10_000
 # Largest one-resource capacity integral_argmax sweeps rather than searches.
 SWEEP_CAPACITY_LIMIT = 100_000
+# Most feasible tuples integral_argmax searches before refusing.
+SEARCH_LIMIT = 2**20
 
 
 def product_support(options) -> list:
@@ -57,9 +59,7 @@ def product_support(options) -> list:
     return out
 
 
-def integral_argmax(
-    options, capacities, weights, limit=None, choice_limit=None
-) -> tuple:
+def integral_argmax(options, capacities, weights) -> tuple:
     """Exact integral maximizer, (choices, Fraction total).
 
     options[i] lists player i's options, each as its resource use
@@ -72,9 +72,8 @@ def integral_argmax(
     One resource of capacity at most SWEEP_CAPACITY_LIMIT is answered by a
     0/1 knapsack sweep over the capacity left. Anything else is searched
     depth first, choice 0 before the options in order, keeping the first
-    strict maximum. Only the search is guarded, by SizeGuardError: more
-    than choice_limit options in all before the walk, or meeting more than
-    limit feasible tuples.
+    strict maximum. Only the search is guarded: meeting more than
+    SEARCH_LIMIT feasible tuples raises SizeGuardError.
     """
     ints, scale = scale_to_integers([w for ws in weights for w in ws])
     flat = iter(ints)
@@ -82,11 +81,6 @@ def integral_argmax(
     if len(capacities) == 1 and capacities[0] <= SWEEP_CAPACITY_LIMIT:
         amounts = [[use[0][1] if use else 0 for use in opts] for opts in options]
         return _capacity_sweep(amounts, scores, capacities[0], scale)
-    count = sum(map(len, options))
-    if choice_limit is not None and count > choice_limit:
-        raise SizeGuardError(
-            f"{count} option choices exceed the exhaustive search guard"
-        )
     n = len(options)
     left = list(capacities)
     choices = [0] * n
@@ -96,8 +90,8 @@ def integral_argmax(
         nonlocal best, best_choices, met
         if i == n:
             met += 1
-            if limit is not None and met > limit:
-                raise SizeGuardError(f"more than {limit} feasible assignments")
+            if met > SEARCH_LIMIT:
+                raise SizeGuardError(f"more than {SEARCH_LIMIT} feasible assignments")
             if total > best:
                 best, best_choices = total, tuple(choices)
             return
@@ -149,10 +143,11 @@ class Valuation:
     """Interface for player valuations (and bids, which are valuations too).
 
     Concrete classes are frozen dataclasses carrying a player index and a
-    domain tag; value(None) must be 0 and values must be nonnegative.
+    class-constant domain tag, outside equality and hashing; value(None)
+    must be 0 and values must be nonnegative.
     """
 
-    domain: str
+    domain: ClassVar[str]
     player: int
 
     def value(self, outcome) -> Fraction:

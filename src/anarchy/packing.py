@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
+from typing import ClassVar
 
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
 from .mechanism import integral_argmax
 from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import IntegerProgram, solve_lp
-
-BRUTE_FORCE_CHOICE_BITS = 20  # exhaustive integral search guard: n*K at most this
 
 
 @dataclass(frozen=True)
@@ -155,15 +154,14 @@ class OptionValuation(Valuation):
 
     player: int
     amounts: tuple
-    domain: str = "packing"
+    domain: ClassVar[str] = "packing"
 
-    def __init__(self, player: int, amounts, domain: str = "packing"):
+    def __init__(self, player: int, amounts):
         amounts = tuple(frac(a) for a in amounts)
         if any(a < 0 for a in amounts):
             raise StructuralError("bids and values must be nonnegative")
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "amounts", amounts)
-        object.__setattr__(self, "domain", domain)
 
     def value(self, outcome) -> Fraction:
         if outcome is None:
@@ -249,14 +247,13 @@ def solve_packing_integral(inst: PackingInstance, bids):
     from mechanism.integral_argmax, the one integral maximizer shared with
     the flow domain, on inst.integer_program. A single row whose scaled
     capacity is at most SWEEP_CAPACITY_LIMIT is swept; anything else is
-    searched under the guard n*K <= BRUTE_FORCE_CHOICE_BITS.
+    searched, and meeting more than SEARCH_LIMIT feasible tuples there
+    raises SizeGuardError.
     """
     _check_bids(inst, bids)
     n, K = inst.n, inst.K
     weights = [b.amounts for b in bids]
-    choices, value = integral_argmax(
-        *inst.integer_program, weights, choice_limit=BRUTE_FORCE_CHOICE_BITS
-    )
+    choices, value = integral_argmax(*inst.integer_program, weights)
     x = tuple(
         tuple(F1 if choices[i] == k + 1 else F0 for k in range(K)) for i in range(n)
     )

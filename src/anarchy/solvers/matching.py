@@ -48,9 +48,6 @@ class WeightMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def allowed(self, i: int, j: int) -> bool:
-        return self.entries[i][j] is not None
-
 
 def _assignment(ent):
     """Minimum-cost perfect assignment of a square matrix, (perm, cost) or None.

@@ -47,7 +47,7 @@ from anarchy.mechanism import (
     poa_from_smoothness,
     verify_pure_nash,
 )
-from anarchy.packing import residual_welfare, solve_packing_lp
+from anarchy.packing import residual_welfare, solve_packing_integral, solve_packing_lp
 from anarchy.rationals import integer_weights
 
 from oracles import (
@@ -532,6 +532,9 @@ def test_cardinality_lp_on_its_shape_equals_the_instance_path():
         xbar, value = solve_cardinality_lp(m, bids)
         alloc, expected = solve_packing_lp(*auctions._cardinality_instance(m, bids))
         assert (xbar.x, value) == (alloc.x, expected)
+        # the integral maximizer on the shape keeps the instance's tie-break
+        alloc, expected = solve_packing_integral(*auctions._cardinality_instance(m, bids))
+        assert solve_cardinality_integral(m, bids) == (alloc.choices(), expected)
     assert auctions._cardinality_shape(3, 2) is auctions._cardinality_shape(3, 2)
 
 

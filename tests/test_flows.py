@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from anarchy import flows
+from anarchy import flows, mechanism
 from anarchy.errors import PreconditionError, SizeGuardError, StructuralError
 from anarchy.flows import (
     FlowInstance,
@@ -562,11 +562,30 @@ def test_integral_assignment_guard(monkeypatch):
     inst = FlowInstance(g, 0, [(2, Fraction(1, 6), 1)] * 6)
     bids = truthful_flow_bids(inst)
     assert solve_flow_integral(inst, bids)[1] == 6
-    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 63)
+    monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 63)
     with pytest.raises(SizeGuardError):
         solve_flow_integral(inst, bids)
-    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 64)
+    monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 64)
     assert solve_flow_integral(inst, bids)[1] == 6
+
+
+def test_integral_program_enumerates_paths_once(monkeypatch):
+    # two routes to each sink; two solves under different bids share one
+    # compiled program, so each request's paths are enumerated once
+    g = CapacitatedDigraph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 1)])
+    inst = FlowInstance(g, 0, [(3, 1, 2), (3, 1, 3), (2, 1, 1)])
+    sinks = []
+
+    def counting(inst, sink, *args):
+        sinks.append(sink)
+        return enumerate_paths(inst, sink, *args)
+
+    monkeypatch.setattr(flows, "enumerate_paths", counting)
+    first = solve_flow_integral(inst, truthful_flow_bids(inst))
+    flat = tuple(RouteValuation(i, 1) for i in range(inst.n))
+    second = solve_flow_integral(inst, flat)
+    assert sorted(sinks) == sorted(r.sink for r in inst.requests)
+    assert (first[1], second[1]) == (5, 2)
 
 
 def test_integral_prefers_lex_smallest():

@@ -343,24 +343,22 @@ def test_integral_argmax_search_fallback(monkeypatch):
     twin = packing.PackingInstance(
         [[b.amount] for b in bids], [[[d] for d in demands]], caps
     )
-    swept = integral_argmax(options, caps, weights, limit=1, choice_limit=1)
-    assert swept == ((1, 1, 1, 0, 0, 1), 5)  # ties go to the lex-smallest tuple
-    assert flows.solve_flow_integral(inst, bids)[0].paths == ((0,),) * 3 + (None, None, (0,))
-    assert packing.solve_packing_integral(twin, packing.truthful_bids(twin))[1] == 5
-    # below the integer capacity the same answer comes from the search,
-    # which alone is guarded
+    # below the integer capacity the answer comes from the search, which
+    # alone is guarded
     monkeypatch.setattr(mechanism, "SWEEP_CAPACITY_LIMIT", caps[0] - 1)
-    assert integral_argmax(options, caps, weights) == swept
-    with pytest.raises(SizeGuardError, match="feasible assignments"):
-        integral_argmax(options, caps, weights, limit=1)
-    with pytest.raises(SizeGuardError, match="6 option choices"):
-        integral_argmax(options, caps, weights, choice_limit=5)
-    monkeypatch.setattr(flows, "ASSIGNMENT_GUARD", 1)
+    searched = integral_argmax(options, caps, weights)
+    monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 1)
+    with pytest.raises(SizeGuardError, match="more than 1 feasible assignments"):
+        integral_argmax(options, caps, weights)
     with pytest.raises(SizeGuardError):
         flows.solve_flow_integral(inst, bids)
-    monkeypatch.setattr(packing, "BRUTE_FORCE_CHOICE_BITS", 5)
     with pytest.raises(SizeGuardError):
         packing.solve_packing_integral(twin, packing.truthful_bids(twin))
+    monkeypatch.setattr(mechanism, "SWEEP_CAPACITY_LIMIT", caps[0])
+    swept = integral_argmax(options, caps, weights)
+    assert swept == searched == ((1, 1, 1, 0, 0, 1), 5)  # ties: the lex-smallest tuple
+    assert flows.solve_flow_integral(inst, bids)[0].paths == ((0,),) * 3 + (None, None, (0,))
+    assert packing.solve_packing_integral(twin, packing.truthful_bids(twin))[1] == 5
 
 
 def test_scaled_bid_profiles_cover_product():

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from anarchy import mechanism
 from anarchy.errors import PreconditionError, SizeGuardError, StructuralError
 from anarchy.mechanism import (
     HALF_VALUE,
@@ -257,7 +258,9 @@ def test_integral_exhaustive_matches_oracle():
             assert alloc.choices() == choices
 
 
-def test_integral_size_guard():
+def test_integral_size_guard(monkeypatch):
+    # n*K = 22 options on two rows: the search meets sum_{j<=5} C(11, j) 2^j
+    # = 21 627 feasible tuples, and only SEARCH_LIMIT bounds it
     n, K = 11, 2
     values = [[1] * K for _ in range(n)]
     rows = [
@@ -265,8 +268,17 @@ def test_integral_size_guard():
         [[1] * K for _ in range(n)],
     ]
     inst = PackingInstance(values, rows, [5, 5])
-    with pytest.raises(SizeGuardError):
-        solve_packing_integral(inst, truthful_bids(inst))
+    bids = truthful_bids(inst)
+    expected = ((0,) * 6 + (1,) * 5, 5)
+    assert best_integral_packing(values, rows, [5, 5]) == expected
+    alloc, value = solve_packing_integral(inst, bids)
+    assert (alloc.choices(), value) == expected
+    monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 21_626)
+    with pytest.raises(SizeGuardError, match="more than 21626 feasible"):
+        solve_packing_integral(inst, bids)
+    monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 21_627)
+    alloc, value = solve_packing_integral(inst, bids)
+    assert (alloc.choices(), value) == expected
 
 
 # -------------------------------------------------------- residual welfare
