@@ -70,6 +70,7 @@ class MPHkValuation(Valuation):
     k: int
     clauses: tuple
     domain: ClassVar[str] = "auction"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player, k, clauses):
         if k < 1:
@@ -167,6 +168,7 @@ class SymmetricValuation(Valuation):
     player: int
     levels: tuple  # levels[0] == 0, indices 0..m
     domain: ClassVar[str] = "auction"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player, levels):
         levels = tuple(frac(x) for x in levels)
@@ -176,13 +178,6 @@ class SymmetricValuation(Valuation):
             raise StructuralError("bids and values must be nonnegative")
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "levels", levels)
-        # bid profiles key the relaxation cache and Fraction hashes are not
-        # cheap, so the hash is taken once; no str field enters it, so it is
-        # the same in every process that unpickles the valuation
-        object.__setattr__(self, "_hash", hash((player, levels)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def m(self) -> int:
@@ -416,13 +411,6 @@ def _check_cardinality_bids(m: int, bids) -> None:
     _check_auction_bids(bids)
     _require_symmetric(bids)
     _check_levels(m, bids)
-
-
-def _cardinality_instance(m: int, bids) -> tuple:
-    """Symmetric bids as an m-unit packing program, (instance, option bids)."""
-    _check_cardinality_bids(m, bids)
-    inst = multiunit_instance([b.amounts for b in bids], m)
-    return inst, truthful_bids(inst)
 
 
 @lru_cache(maxsize=64)

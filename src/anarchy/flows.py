@@ -142,6 +142,7 @@ class RouteValuation(Valuation):
     player: int
     amount: Fraction
     domain: ClassVar[str] = "flow"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player, amount):
         amount = frac(amount)
@@ -645,6 +646,7 @@ class MatroidValuation(Valuation):
     player: int
     amount: Fraction
     domain: ClassVar[str] = "matroid"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player, amount):
         amount = frac(amount)

@@ -77,6 +77,7 @@ class EdgeValuation(Valuation):
     v: int
     amount: Fraction
     domain: ClassVar[str] = "maxtsp"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player, u, v, amount):
         amount = frac(amount)

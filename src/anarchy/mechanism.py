@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 from typing import Callable, ClassVar, Optional, Sequence
@@ -144,11 +144,25 @@ class Valuation:
 
     Concrete classes are frozen dataclasses carrying a player index and a
     class-constant domain tag, outside equality and hashing; value(None)
-    must be 0 and values must be nonnegative.
+    must be 0 and values must be nonnegative. Each binds
+    __hash__ = Valuation.__hash__, which @dataclass(frozen=True) would
+    otherwise replace with its own.
     """
 
     domain: ClassVar[str]
     player: int
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, taken once: bid profiles key
+        every relaxation cache and Fraction hashes are not cheap. No str
+        field enters it, so a pickled valuation's hash holds in every
+        process."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def value(self, outcome) -> Fraction:
         raise NotImplementedError

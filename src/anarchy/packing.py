@@ -127,25 +127,9 @@ class PackingInstance:
 
 @dataclass(frozen=True)
 class PackingAllocation:
+    """An LP point; integral outcomes are solve_packing_integral's tuples."""
+
     x: tuple  # n x K fractions
-
-    @property
-    def integral(self) -> bool:
-        return all(v == 0 or v == 1 for player in self.x for v in player)
-
-    def choices(self) -> tuple:
-        """Per-player chosen option index + 1, or 0 for none (integral only)."""
-        if not self.integral:
-            raise PreconditionError("choices are only defined for integral points")
-        out = []
-        for player in self.x:
-            picked = 0
-            for k, v in enumerate(player):
-                if v == 1:
-                    picked = k + 1
-                    break
-            out.append(picked)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -155,6 +139,7 @@ class OptionValuation(Valuation):
     player: int
     amounts: tuple
     domain: ClassVar[str] = "packing"
+    __hash__ = Valuation.__hash__
 
     def __init__(self, player: int, amounts):
         amounts = tuple(frac(a) for a in amounts)
@@ -164,10 +149,15 @@ class OptionValuation(Valuation):
         object.__setattr__(self, "amounts", amounts)
 
     def value(self, outcome) -> Fraction:
+        """Linear in a PackingAllocation's shares; on an integral choice
+        tuple, amounts[c - 1] for entry c, nothing for 0."""
         if outcome is None:
             return F0
-        row = outcome.x[self.player]
-        return sum((a * v for a, v in zip(self.amounts, row)), F0)
+        if isinstance(outcome, PackingAllocation):
+            row = outcome.x[self.player]
+            return sum((a * v for a, v in zip(self.amounts, row)), F0)
+        c = outcome[self.player]
+        return self.amounts[c - 1] if c else F0
 
     def scale(self, theta) -> "OptionValuation":
         theta = frac(theta)
@@ -240,24 +230,19 @@ def solve_packing_lp(inst: PackingInstance, bids):
 
 
 def solve_packing_integral(inst: PackingInstance, bids):
-    """Exact integral declared-welfare maximizer.
+    """Exact integral declared-welfare maximizer, (choices, value).
 
-    Ties break toward the lexicographically smallest choice tuple, where 0
-    means "no option" and option k is recorded as k + 1. The answer comes
-    from mechanism.integral_argmax, the one integral maximizer shared with
-    the flow domain, on inst.integer_program. A single row whose scaled
-    capacity is at most SWEEP_CAPACITY_LIMIT is swept; anything else is
-    searched, and meeting more than SEARCH_LIMIT feasible tuples there
-    raises SizeGuardError.
+    choices[i] is 0 for no option or k + 1 for option k: the outcome
+    OptionValuation.value reads, an int tuple like the sizes
+    auctions.solve_cardinality_integral returns. Ties break toward the
+    lexicographically smallest tuple. The answer comes from
+    mechanism.integral_argmax, the one integral maximizer of every domain,
+    on inst.integer_program. A single row whose scaled capacity is at most
+    SWEEP_CAPACITY_LIMIT is swept; anything else is searched, and meeting
+    more than SEARCH_LIMIT feasible tuples there raises SizeGuardError.
     """
     _check_bids(inst, bids)
-    n, K = inst.n, inst.K
-    weights = [b.amounts for b in bids]
-    choices, value = integral_argmax(*inst.integer_program, weights)
-    x = tuple(
-        tuple(F1 if choices[i] == k + 1 else F0 for k in range(K)) for i in range(n)
-    )
-    return PackingAllocation(x), value
+    return integral_argmax(*inst.integer_program, [b.amounts for b in bids])
 
 
 def check_feasible(inst: PackingInstance, x) -> None:

@@ -6,7 +6,8 @@ shares logic with the package under test. The `*_reference` functions are
 the plain forms of faster package code: the package must return exactly
 what they return. The flow and Hedge references borrow only the package's
 containers, its coin flip and Hedge's weight rescaling, which they do not
-test. `enumerate_draws` turns any seeded sampler into its exact
+test; `cardinality_instance` borrows its multi-unit instance builder.
+`enumerate_draws` turns any seeded sampler into its exact
 distribution, to hold against the package's support enumerators.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import exp, gcd
+from math import exp, gcd, lcm
 from random import Random
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from anarchy.errors import StructuralError
 from anarchy.flows import PathAssignment, flow_decompose
 from anarchy.mechanism import RelaxationCache
 from anarchy.maxtsp import HamiltonianCycle
+from anarchy.packing import multiunit_instance, truthful_bids
 from anarchy.rationals import bernoulli
 
 F0 = Fraction(0)
@@ -308,24 +310,34 @@ def best_integral_packing(b, A, c):
 
     Choice tuples assign each player 0 (nothing) or k+1 (option k); iteration
     in natural tuple order with strict improvement keeps the lexicographically
-    smallest argmax. Returns (choices, value).
+    smallest argmax. Returns (choices, value). Totals and loads are ints: the
+    bids are scaled once by the lcm of their denominators, and each row with
+    its capacity by that row's lcm.
     """
-    from itertools import product
-
     n, K = len(b), len(b[0]) if b else 0
+    b = [[Fraction(v) for v in row] for row in b]
+    scale = lcm(*(v.denominator for row in b for v in row))
+    bids = [[int(v * scale) for v in row] for row in b]
+    rows, caps = [], []
+    for row, cap in zip(A, c):
+        row = [[Fraction(a) for a in player] for player in row]
+        cap = Fraction(cap)
+        s = lcm(cap.denominator, *(a.denominator for player in row for a in player))
+        rows.append([[int(a * s) for a in player] for player in row])
+        caps.append(int(cap * s))
     best = None
     best_choices = None
     for choices in product(range(K + 1), repeat=n):
-        loads = [F0] * len(c)
-        value = F0
+        loads = [0] * len(caps)
+        value = 0
         ok = True
         for i, ch in enumerate(choices):
             if ch == 0:
                 continue
-            value += b[i][ch - 1]
-            for l in range(len(c)):
-                loads[l] += A[l][i][ch - 1]
-                if loads[l] > c[l]:
+            value += bids[i][ch - 1]
+            for l in range(len(caps)):
+                loads[l] += rows[l][i][ch - 1]
+                if loads[l] > caps[l]:
                     ok = False
                     break
             if not ok:
@@ -333,7 +345,13 @@ def best_integral_packing(b, A, c):
         if ok and (best is None or value > best):
             best = value
             best_choices = choices
-    return best_choices, best
+    return best_choices, Fraction(best, scale)
+
+
+def cardinality_instance(m, bids):
+    """Symmetric bids as an m-unit packing program, (instance, option bids)."""
+    inst = multiunit_instance([b.amounts for b in bids], m)
+    return inst, truthful_bids(inst)
 
 
 def packing_program(inst, bids, players, capacities):

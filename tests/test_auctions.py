@@ -51,6 +51,7 @@ from anarchy.packing import residual_welfare, solve_packing_integral, solve_pack
 from anarchy.rationals import integer_weights
 
 from oracles import (
+    cardinality_instance,
     cardinality_point_reference,
     enumerate_draws,
     fair_options_reference,
@@ -530,11 +531,11 @@ def test_cardinality_lp_on_its_shape_equals_the_instance_path():
         cases.append((m, flat))
     for m, bids in cases:
         xbar, value = solve_cardinality_lp(m, bids)
-        alloc, expected = solve_packing_lp(*auctions._cardinality_instance(m, bids))
+        alloc, expected = solve_packing_lp(*cardinality_instance(m, bids))
         assert (xbar.x, value) == (alloc.x, expected)
         # the integral maximizer on the shape keeps the instance's tie-break
-        alloc, expected = solve_packing_integral(*auctions._cardinality_instance(m, bids))
-        assert solve_cardinality_integral(m, bids) == (alloc.choices(), expected)
+        expected = solve_packing_integral(*cardinality_instance(m, bids))
+        assert solve_cardinality_integral(m, bids) == expected
     assert auctions._cardinality_shape(3, 2) is auctions._cardinality_shape(3, 2)
 
 

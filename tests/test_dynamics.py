@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from anarchy import flows, maxtsp, packing
 from anarchy.auctions import (
     SymmetricValuation,
     cardinality_integral_rule,
@@ -38,6 +39,7 @@ from anarchy.mechanism import (
     Valuation,
     compose_smoothness,
 )
+from anarchy.solvers import CapacitatedDigraph
 from oracles import replay_cumulative, run_hedge_reference
 
 
@@ -176,6 +178,20 @@ def test_hedge_trace_matches_the_per_round_reference():
         cases.append((*first_price, 200, {"seed": 5, "initial_weights": start}))
     cases.append((*first_price, 200, {"seed": 6, "eta": 363.0}))
     cases.append((*fair, 60, {"seed": 3, "eta": 360.0}))
+    # the packing, cycle-cover and flow rules as the dynamics command sets
+    # them up: choice tuples, cycle covers and path assignments key the
+    # memo, and option, edge and route bids the relaxation cache
+    ce = packing.gen_multiunit_counterexample(4)
+    digraph = maxtsp.gen_digraphs(1, 0, sizes=(3,))[0]
+    duopoly = flows.FlowInstance(
+        CapacitatedDigraph(2, [(0, 1, 1)]), 0, [(1, 1, 1), (1, 1, Fr(1, 2))]
+    )
+    for rule, values in (
+        (packing.integral_rule(ce.instance), ce.values),
+        (maxtsp.cycle_cover_rule(digraph), maxtsp.truthful_edge_bids(digraph)),
+        (flows.fractional_rule(duopoly), flows.truthful_flow_bids(duopoly)),
+    ):
+        cases.append((rule, values, StrategyGrid.uniform(len(values), 2), 200, {}))
     for rule, values, grid, T, kwargs in cases:
         trace = run_hedge(rule, values, grid, T, **kwargs)
         reference = run_hedge_reference(rule, values, grid, T, **kwargs)

@@ -1,6 +1,7 @@
 """Pay-your-bid mechanics, smoothness calculus, Nash verification."""
 
-from dataclasses import dataclass, replace
+import pickle
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from random import Random
 
@@ -359,6 +360,63 @@ def test_integral_argmax_search_fallback(monkeypatch):
     assert swept == searched == ((1, 1, 1, 0, 0, 1), 5)  # ties: the lex-smallest tuple
     assert flows.solve_flow_integral(inst, bids)[0].paths == ((0,),) * 3 + (None, None, (0,))
     assert packing.solve_packing_integral(twin, packing.truthful_bids(twin))[1] == 5
+
+
+# each valuation class twice, equal but built from different inputs
+EQUAL_VALUATIONS = [
+    pytest.param(
+        lambda: packing.OptionValuation(1, (Fraction(2, 4), 3)),
+        lambda: packing.OptionValuation(1, ["1/2", Fraction(6, 2)]),
+        id="OptionValuation",
+    ),
+    pytest.param(
+        lambda: flows.RouteValuation(0, Fraction(2, 4)),
+        lambda: flows.RouteValuation(0, "1/2"),
+        id="RouteValuation",
+    ),
+    pytest.param(
+        lambda: flows.MatroidValuation(2, Fraction(2, 4)),
+        lambda: flows.MatroidValuation(2, Fraction(1, 2)),
+        id="MatroidValuation",
+    ),
+    pytest.param(
+        lambda: maxtsp.EdgeValuation(3, 1, 0, Fraction(2, 4)),
+        lambda: maxtsp.EdgeValuation(3, 1, 0, Fraction(1, 2)),
+        id="EdgeValuation",
+    ),
+    pytest.param(
+        lambda: auctions.MPHkValuation(0, 2, [{(0, 1): Fraction(2, 4), (2,): 1}]),
+        lambda: auctions.MPHkValuation(0, 2, [[((2,), "1"), ({1, 0}, Fraction(1, 2))]]),
+        id="MPHkValuation",
+    ),
+    pytest.param(
+        lambda: SymmetricValuation(1, (0, 1, Fraction(3, 2))),
+        lambda: SymmetricValuation(1, [Fraction(0), Fraction(2, 2), "3/2"]),
+        id="SymmetricValuation",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_a, make_b", EQUAL_VALUATIONS)
+def test_every_valuation_hashes_once_as_its_dataclass_hash(make_a, make_b, monkeypatch):
+    a, b = make_a(), make_b()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a)))
+    for v in (make_a(), a):  # pickled before and after the hash is taken
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == a and hash(copy) == hash(a)
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    v = make_b()
+    assert hash(v) == hash(a) and calls
+    calls.clear()
+    assert hash(v) == hash(a) and not calls
 
 
 def test_scaled_bid_profiles_cover_product():

@@ -169,9 +169,7 @@ def test_lp_payments_recompute():
 def test_integral_zero_bids():
     inst = proposition_instance(4)
     bids = tuple(uniform_option_bid(inst, i, 0) for i in range(6))
-    alloc, welfare = solve_packing_integral(inst, bids)
-    assert welfare == 0
-    assert alloc.choices() == (0,) * 6  # empty allocation is lex-first
+    assert solve_packing_integral(inst, bids) == ((0,) * 6, 0)  # empty is lex-first
 
 
 def test_integral_proposition_equilibrium():
@@ -181,9 +179,7 @@ def test_integral_proposition_equilibrium():
     choices, value = best_integral_packing(b, A, ce.instance.capacities)
     assert value == 2
     assert choices == (0, 0, 0, 0, 0, 4)  # the last big bidder takes all units
-    alloc, welfare = solve_packing_integral(ce.instance, ce.bids)
-    assert welfare == 2
-    assert alloc.choices() == choices
+    assert solve_packing_integral(ce.instance, ce.bids) == (choices, 2)
 
 
 def test_integral_truthful_m4():
@@ -209,9 +205,8 @@ def test_integral_dp_matches_exhaustive():
         for inst in (inst, _rescaled(inst, scaler)):
             A = [[list(p) for p in row] for row in inst.rows]
             choices, value = best_integral_packing(b, A, inst.capacities)
-            alloc, welfare = solve_packing_integral(inst, bids)
-            assert welfare == value
-            assert alloc.choices() == choices
+            found, welfare = solve_packing_integral(inst, bids)
+            assert (found, welfare) == (choices, value)
             # relaxation dominates the integral optimum
             _, lp_welfare = solve_packing_lp(inst, bids)
             assert lp_welfare >= welfare >= 0
@@ -253,9 +248,9 @@ def test_integral_exhaustive_matches_oracle():
         ):
             b = [list(v.amounts) for v in bids]
             choices, value = best_integral_packing(b, A, inst.capacities)
-            alloc, welfare = solve_packing_integral(inst, bids)
-            assert welfare == value
-            assert alloc.choices() == choices
+            assert solve_packing_integral(inst, bids) == (choices, value)
+            # the choice tuple is the outcome the bids are scored on
+            assert sum((v.value(choices) for v in bids), F0) == value
 
 
 def test_integral_size_guard(monkeypatch):
@@ -271,14 +266,12 @@ def test_integral_size_guard(monkeypatch):
     bids = truthful_bids(inst)
     expected = ((0,) * 6 + (1,) * 5, 5)
     assert best_integral_packing(values, rows, [5, 5]) == expected
-    alloc, value = solve_packing_integral(inst, bids)
-    assert (alloc.choices(), value) == expected
+    assert solve_packing_integral(inst, bids) == expected
     monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 21_626)
     with pytest.raises(SizeGuardError, match="more than 21626 feasible"):
         solve_packing_integral(inst, bids)
     monkeypatch.setattr(mechanism, "SEARCH_LIMIT", 21_627)
-    alloc, value = solve_packing_integral(inst, bids)
-    assert (alloc.choices(), value) == expected
+    assert solve_packing_integral(inst, bids) == expected
 
 
 # -------------------------------------------------------- residual welfare
