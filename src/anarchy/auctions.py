@@ -17,7 +17,6 @@ from math import comb, gcd, lcm, prod
 from random import Random
 from typing import ClassVar
 
-from . import packing
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .mechanism import (
     AllocationRule,
@@ -26,6 +25,7 @@ from .mechanism import (
     Valuation,
     integral_argmax,
     product_support,
+    relaxation,
 )
 from .packing import (
     PackingInstance,
@@ -36,9 +36,9 @@ from .packing import (
 )
 from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
 
-# unused here; kept while bench/tests/test_bench.py expects these bindings
+# unused here; kept while bench/tests/test_bench.py expects this binding
 from .rationals import weighted_index  # noqa: F401
-from .solvers import solve_lp  # noqa: F401
+from .solvers import solve_lp
 
 ITEM_LIMIT = 10  # subset enumeration guard for the configuration LP
 
@@ -424,13 +424,14 @@ def solve_cardinality_lp(m: int, bids):
     """Exact cardinality-variable optimum, (CardinalityLPSolution, value).
 
     This is the one-row packing relaxation with row (1, ..., m) and
-    capacity m: packing._packing_lp on the program of its shape (n, m),
-    each bid's levels[1:] as its objective.
+    capacity m: the mechanism.relaxation of its shape's (n, m)
+    integer_program, each bid's levels[1:] as its objective.
     """
     _check_cardinality_bids(m, bids)
     n = len(bids)
-    shape = _cardinality_shape(n, m)
-    sol = packing._packing_lp(shape, bids, range(n), shape.capacities)
+    program = _cardinality_shape(n, m).integer_program
+    sol = solve_lp(relaxation(*program, [b.amounts for b in bids]))
+    assert sol.optimal  # x = 0 is feasible and the player rows bound everything
     x = [sol.x[i * m : (i + 1) * m] for i in range(n)]
     return CardinalityLPSolution(m, x), sol.value
 

@@ -30,9 +30,9 @@ from .errors import (
     StructuralError,
 )
 from .mechanism import AllocationRule, Counterexample, Valuation
-from .mechanism import integral_argmax, product_support
+from .mechanism import integral_argmax, product_support, relaxation
 from .rationals import F0, F1, bernoulli, frac, frac_str, parse_frac, weighted_index
-from .solvers import CapacitatedDigraph, LinearProgram, Residual, max_flow, solve_lp
+from .solvers import CapacitatedDigraph, Residual, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
 PATH_GUARD = 50  # simple s->t paths per player before path-space ops refuse
@@ -406,33 +406,17 @@ def enumerate_paths(inst: FlowInstance, sink: int, guard: int = PATH_GUARD):
     return paths
 
 
-def path_lp(inst: FlowInstance, bids):
-    """Path-variable LP: per-unit objective, demand caps, edge capacities."""
-    _check_flow_bids(inst, bids)
-    variables = []  # (player, path)
-    for i in range(inst.n):
-        for p in enumerate_paths(inst, inst.requests[i].sink):
-            variables.append((i, p))
-    objective = [
-        bids[i].amount / inst.requests[i].demand for i, _ in variables
-    ]
-    rows = []
-    rhs = []
-    for i in range(inst.n):
-        rows.append([F1 if j == i else F0 for j, _ in variables])
-        rhs.append(inst.requests[i].demand)
-    for e in range(len(inst.graph.edges)):
-        rows.append([F1 if e in p else F0 for _, p in variables])
-        rhs.append(inst.graph.edges[e][2])
-    return LinearProgram(objective, rows, rhs), variables
-
-
 def solve_path_lp(inst: FlowInstance, bids) -> Fraction:
-    program, variables = path_lp(inst, bids)
-    if not variables:  # nothing is routable
+    """Optimum of the path LP: the mechanism.relaxation of
+    inst.integer_program, where x[i, k] is the share of request i's demand
+    on its k-th path and full delivery is worth bids[i].amount."""
+    _check_flow_bids(inst, bids)
+    paths, options, caps = inst.integer_program
+    if not any(paths):  # nothing is routable
         return F0
-    sol = solve_lp(program)
-    assert sol.optimal  # bounded by demand rows, feasible at zero
+    weights = [[b.amount] * len(ps) for b, ps in zip(bids, paths)]
+    sol = solve_lp(relaxation(options, caps, weights))
+    assert sol.optimal  # bounded by the request rows, feasible at zero
     return sol.value
 
 

@@ -30,6 +30,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 from .errors import PreconditionError, SizeGuardError, StructuralError
 from .rationals import F0, F1, HALF, frac, frac_str, scale_to_integers
+from .solvers import IntegerProgram
 
 GENERAL = "general"
 HALF_VALUE = "half-value"
@@ -137,6 +138,31 @@ def _capacity_sweep(amounts, scores, cap, scale) -> tuple:
             r -= use[c - 1]
         choices.append(c)
     return tuple(choices), Fraction(best[0][cap], scale)
+
+
+def relaxation(options, capacities, weights) -> IntegerProgram:
+    """The LP relaxation of the program integral_argmax maximizes.
+
+    options and weights read as there. One column per (player, option), in
+    that order, worth weights[i][k]: x[i, k] is player i's share of
+    options[i][k]. One row per resource, where a capacity p/q (an int has
+    q = 1) multiplies the row's amounts by q against rhs p; then one "at
+    most one option" row per player that has options.
+    """
+    scales = [c.denominator for c in capacities]
+    ncols = sum(map(len, options))
+    rows = [[0] * ncols + [c.numerator] for c in capacities]
+    ones = []
+    j = 0
+    for opts in options:
+        start = j
+        for use in opts:
+            for r, a in use:
+                rows[r][j] = a * scales[r]
+            j += 1
+        if opts:
+            ones.append([0] * start + [1] * (j - start) + [0] * (ncols - j) + [1])
+    return IntegerProgram([w for ws in weights for w in ws], rows + ones)
 
 
 class Valuation:

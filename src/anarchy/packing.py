@@ -24,9 +24,9 @@ from typing import ClassVar
 
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
-from .mechanism import integral_argmax
+from .mechanism import integral_argmax, relaxation
 from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
-from .solvers import IntegerProgram, solve_lp
+from .solvers import solve_lp
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,16 @@ class PackingInstance:
         return len(self.rows)
 
     @cached_property
-    def integer_rows(self) -> tuple:
-        """Each packing row compiled once, as (ints, s): its n*K coefficients
-        in column order i*K + k, times s, the lcm of their denominators.
-
-        Every packing program of the instance is built from these rows: a
-        program slices its players' columns, and its capacity c = p/q turns
-        row l into (q * ints) . x <= s * p, a positive multiple of
-        row_l . x <= c."""
-        return tuple(
-            scale_to_integers([a for player in row for a in player])
-            for row in self.rows
-        )
-
-    @cached_property
     def integer_program(self) -> tuple:
-        """(options, capacities) in ints for mechanism.integral_argmax:
-        integer_rows under the instance's capacities, scaled as in
-        _packing_lp; option k of player i lists the rows it uses."""
-        rows = [
-            ([a * c.denominator for a in ints], s * c.numerator)
-            for (ints, s), c in zip(self.integer_rows, self.capacities)
-        ]
+        """(options, capacities) in ints, compiled once: the program
+        mechanism.integral_argmax maximizes and mechanism.relaxation
+        relaxes. Row l with capacity c = p/q is scaled by s * q, s the lcm
+        of its coefficients' denominators, so its capacity is the int
+        s * p; option k of player i lists the rows it uses."""
+        rows = []
+        for row, c in zip(self.rows, self.capacities):
+            ints, s = scale_to_integers([a for player in row for a in player])
+            rows.append(([a * c.denominator for a in ints], s * c.numerator))
         K = self.K
         uses = [
             [(l, row[j]) for l, (row, _) in enumerate(rows) if row[j]]
@@ -195,37 +183,14 @@ def _check_bids(inst: PackingInstance, bids) -> None:
             raise StructuralError(f"bid {i} does not fit the instance")
 
 
-def _packing_lp(inst: PackingInstance, bids, players, capacities):
-    """The LP relaxation restricted to the listed players, under capacities.
-
-    Columns are i*K + k over the listed players; the rows are the packing
-    rows, from inst.integer_rows, then one "at most one option" row per
-    listed player.
-    """
-    K = inst.K
-    cols = [i * K + k for i in players for k in range(K)]
-    objective = [bids[i].amounts[k] for i in players for k in range(K)]
-    rows = []
-    for (ints, scale), c in zip(inst.integer_rows, capacities):
-        q = c.denominator
-        sliced = [ints[j] for j in cols] if q == 1 else [ints[j] * q for j in cols]
-        sliced.append(c.numerator * scale)
-        rows.append(sliced)
-    for pos in range(len(players)):
-        row = [0] * len(cols) + [1]
-        row[pos * K : (pos + 1) * K] = [1] * K
-        rows.append(row)
-    sol = solve_lp(IntegerProgram(objective, rows))
-    assert sol.optimal  # x = 0 is feasible and the player rows bound everything
-    return sol
-
-
 def solve_packing_lp(inst: PackingInstance, bids):
-    """Exact optimum of the LP relaxation under the given bids."""
+    """Exact optimum of the LP relaxation under the given bids: the
+    mechanism.relaxation of inst.integer_program."""
     _check_bids(inst, bids)
-    n, K = inst.n, inst.K
-    sol = _packing_lp(inst, bids, range(n), inst.capacities)
-    x = tuple(tuple(sol.x[i * K + k] for k in range(K)) for i in range(n))
+    sol = solve_lp(relaxation(*inst.integer_program, [b.amounts for b in bids]))
+    assert sol.optimal  # x = 0 is feasible and the player rows bound everything
+    K = inst.K
+    x = tuple(sol.x[i * K : (i + 1) * K] for i in range(inst.n))
     return PackingAllocation(x), sol.value
 
 
@@ -280,8 +245,19 @@ def residual_welfare(inst: PackingInstance, bids, excluded: int, capacities):
             raise PreconditionError("residual capacities cannot exceed the originals")
     if not (0 <= excluded < inst.n):
         raise StructuralError("excluded player out of range")
-    others = [i for i in range(inst.n) if i != excluded]
-    return _packing_lp(inst, bids, others, capacities).value
+    options, caps = inst.integer_program
+    options = list(options)
+    weights = [b.amounts for b in bids]
+    options[excluded] = weights[excluded] = ()
+    # row l of the program is scaled by s * q for the capacity p/q, and
+    # caps[l] is s * p, so a capacity c enters as c * s * q
+    scaled = [
+        c * (cap // orig.numerator * orig.denominator)
+        for c, cap, orig in zip(capacities, caps, inst.capacities)
+    ]
+    sol = solve_lp(relaxation(options, scaled, weights))
+    assert sol.optimal  # x = 0 is feasible and the player rows bound everything
+    return sol.value
 
 
 def residual_loss(inst: PackingInstance, bids, xbar) -> tuple:

@@ -1,9 +1,8 @@
-from .lp import OPTIMAL, UNBOUNDED, IntegerProgram, LinearProgram, LPSolution, solve_lp
+from .lp import OPTIMAL, UNBOUNDED, IntegerProgram, LPSolution, solve_lp
 from .matching import WeightMatrix, max_weight_perfect_matching
 from .maxflow import CapacitatedDigraph, MaxFlowResult, Residual, max_flow
 
 __all__ = [
-    "LinearProgram",
     "IntegerProgram",
     "LPSolution",
     "solve_lp",

@@ -5,14 +5,12 @@ Programs are maximization problems in packing form
     max  c . x    subject to    A x <= b,  x >= 0,  with  b >= 0,
 
 so x = 0 is feasible; every relaxation the package builds has this form.
-`solve_lp` takes such a program in one of two forms and runs one simplex
-core on both. A `LinearProgram` holds Fraction rows; `solve_lp` compiles
-each row with its rhs to integers, times the lcm of their denominators. An
-`IntegerProgram` arrives compiled: each row, rhs last, is its constraint
-times some positive number that makes it integral. `packing` builds its
-programs in this form from rows it compiles once per instance. A positive
-row scaling changes no sign test and no ratio order, so both forms of one
-program take the same pivots and reach the same vertex.
+`solve_lp` takes one form, an `IntegerProgram`: each row, rhs last, is its
+constraint times some positive number that makes it integral, and the
+objective stays in Fractions. `mechanism.relaxation` builds every program
+the package solves in this form. A positive row scaling changes no sign
+test and no ratio order, so any two integral scalings of one program take
+the same pivots and reach the same vertex.
 
 The solver is a one-phase dense tableau simplex started from the slack
 basis, using Bland's smallest-index pivot rule, so it cannot cycle and every
@@ -31,41 +29,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import StructuralError
-from ..rationals import F0, frac, scale_to_integers
+from ..rationals import F0, scale_to_integers
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """max objective . x  s.t.  rows[i] . x <= rhs[i],  x >= 0;  rhs >= 0."""
-
-    objective: tuple
-    rows: tuple
-    rhs: tuple
-
-    def __init__(self, objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
-        objective = tuple(frac(v) for v in objective)
-        rows = tuple(tuple(frac(v) for v in row) for row in rows)
-        rhs = tuple(frac(v) for v in rhs)
-        if len(rows) != len(rhs):
-            raise StructuralError(
-                f"matrix has {len(rows)} rows but rhs has {len(rhs)} entries"
-            )
-        for row in rows:
-            if len(row) != len(objective):
-                raise StructuralError(
-                    f"row of width {len(row)} does not match objective width {len(objective)}"
-                )
-        for i, b in enumerate(rhs):
-            if b < 0:
-                raise StructuralError(
-                    f"rhs entry {i} is {b}; a packing program needs rhs >= 0"
-                )
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)
@@ -73,7 +40,9 @@ class IntegerProgram:
     """max objective . x  s.t.  rows[i][:-1] . x <= rows[i][-1],  x >= 0.
 
     rows are ints with the rhs last, rhs >= 0; the objective stays in
-    Fractions and the solver scales it by the lcm of its denominators."""
+    Fractions and the solver scales it by the lcm of its denominators. A
+    row holding anything but ints is refused: the pivots divide exactly
+    only in ints."""
 
     objective: Sequence
     rows: Sequence
@@ -84,6 +53,10 @@ class IntegerProgram:
             if len(row) != n + 1 or row[-1] < 0:
                 raise StructuralError(
                     f"integer row {i} is not {n} coefficients and an rhs >= 0"
+                )
+            if type(sum(row)) is not int:
+                raise StructuralError(
+                    f"integer row {i} holds a value that is not an int"
                 )
 
 
@@ -152,19 +125,8 @@ def _run_simplex(tableau, obj, basis, det, ncols):
         det = _pivot(tableau, obj, basis, det, prow_idx, pcol)
 
 
-def _compile(lp: LinearProgram) -> IntegerProgram:
-    """Each row with its rhs times the lcm of their denominators."""
-    return IntegerProgram(
-        lp.objective,
-        tuple(scale_to_integers(row + (b,))[0] for row, b in zip(lp.rows, lp.rhs)),
-    )
-
-
-def solve_lp(program) -> LPSolution:
-    """Optimum of a LinearProgram or an IntegerProgram; a LinearProgram is
-    compiled first, then both run the same simplex."""
-    if isinstance(program, LinearProgram):
-        program = _compile(program)
+def solve_lp(program: IntegerProgram) -> LPSolution:
+    """Optimum of an IntegerProgram by the fraction-free simplex."""
     objective = program.objective
     n = len(objective)
     m = len(program.rows)

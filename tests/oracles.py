@@ -6,28 +6,36 @@ shares logic with the package under test. The `*_reference` functions are
 the plain forms of faster package code: the package must return exactly
 what they return. The flow and Hedge references borrow only the package's
 containers, its coin flip and Hedge's weight rescaling, which they do not
-test; `cardinality_instance` borrows its multi-unit instance builder.
-`enumerate_draws` turns any seeded sampler into its exact
+test; `cardinality_instance` borrows its multi-unit instance builder, and
+`path_lp_reference`, the flow-unit path LP the package once built, its
+path enumeration. `LinearProgram` is the Fraction form in which the tests
+state programs, and `_compile` scales it to the `IntegerProgram` that
+`solve_lp` takes. `enumerate_draws` turns any seeded sampler into its exact
 distribution, to hold against the package's support enumerators.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import exp, gcd, lcm
 from random import Random
 from types import SimpleNamespace
+from typing import Sequence
 
 from anarchy.dynamics import SEED_SPAN, PlayTrace, RoundRecord, _in_range, default_eta
 from anarchy.errors import StructuralError
-from anarchy.flows import PathAssignment, flow_decompose
+from anarchy.flows import FlowInstance, PathAssignment, _check_flow_bids
+from anarchy.flows import enumerate_paths, flow_decompose
 from anarchy.mechanism import RelaxationCache
 from anarchy.maxtsp import HamiltonianCycle
 from anarchy.packing import multiunit_instance, truthful_bids
-from anarchy.rationals import bernoulli
+from anarchy.rationals import bernoulli, frac, scale_to_integers
+from anarchy.solvers import IntegerProgram
 
 F0 = Fraction(0)
+F1 = Fraction(1)
 
 
 def solve_square(matrix, rhs):
@@ -81,6 +89,45 @@ def lp_opt_by_vertex_enum(objective, rows, rhs):
         if best is None or val > best:
             best = val
     return best
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """max objective . x  s.t.  rows[i] . x <= rhs[i],  x >= 0;  rhs >= 0."""
+
+    objective: tuple
+    rows: tuple
+    rhs: tuple
+
+    def __init__(self, objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
+        objective = tuple(frac(v) for v in objective)
+        rows = tuple(tuple(frac(v) for v in row) for row in rows)
+        rhs = tuple(frac(v) for v in rhs)
+        if len(rows) != len(rhs):
+            raise StructuralError(
+                f"matrix has {len(rows)} rows but rhs has {len(rhs)} entries"
+            )
+        for row in rows:
+            if len(row) != len(objective):
+                raise StructuralError(
+                    f"row of width {len(row)} does not match objective width {len(objective)}"
+                )
+        for i, b in enumerate(rhs):
+            if b < 0:
+                raise StructuralError(
+                    f"rhs entry {i} is {b}; a packing program needs rhs >= 0"
+                )
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
+
+
+def _compile(lp: LinearProgram) -> IntegerProgram:
+    """Each row with its rhs times the lcm of their denominators."""
+    return IntegerProgram(
+        lp.objective,
+        tuple(scale_to_integers(row + (b,))[0] for row, b in zip(lp.rows, lp.rhs)),
+    )
 
 
 def _ref_pivot(tableau, obj, basis, prow_idx, pcol):
@@ -367,6 +414,69 @@ def packing_program(inst, bids, players, capacities):
         rows.append([Fraction(int(i == p)) for i, _ in columns])
         rhs.append(Fraction(1))
     return objective, rows, rhs
+
+
+def simple_paths(inst, sink):
+    """Every simple source->sink path as a tuple of edge indices, sorted."""
+    edges = inst.graph.edges
+    found = []
+
+    def extend(path, seen):
+        v = edges[path[-1]][1] if path else inst.source
+        if v == sink:
+            found.append(tuple(path))
+            return
+        for e, (u, w, _) in enumerate(edges):
+            if u == v and w not in seen:
+                extend(path + [e], seen | {w})
+
+    extend([], {inst.source})
+    return sorted(found)
+
+
+def path_program(inst, bids):
+    """(objective, rows, rhs) in Fractions of the path LP in share units,
+    read off the instance data, or None when no request has a path: one
+    column per (request, path), paths sorted, x the share of the request's
+    demand on it, worth the bid in full; one row per edge, loading each
+    path through it with its demand; then one "at most one" row per request
+    that has paths."""
+    columns = [
+        (i, p) for i, r in enumerate(inst.requests) for p in simple_paths(inst, r.sink)
+    ]
+    if not columns:
+        return None
+    objective = [Fraction(bids[i].amount) for i, _ in columns]
+    rows = [
+        [inst.requests[i].demand if e in p else F0 for i, p in columns]
+        for e in range(len(inst.graph.edges))
+    ]
+    rhs = [Fraction(c) for _, _, c in inst.graph.edges]
+    for q in dict.fromkeys(i for i, _ in columns):
+        rows.append([F1 if i == q else F0 for i, _ in columns])
+        rhs.append(F1)
+    return objective, rows, rhs
+
+
+def path_lp_reference(inst: FlowInstance, bids):
+    """Path-variable LP: per-unit objective, demand caps, edge capacities."""
+    _check_flow_bids(inst, bids)
+    variables = []  # (player, path)
+    for i in range(inst.n):
+        for p in enumerate_paths(inst, inst.requests[i].sink):
+            variables.append((i, p))
+    objective = [
+        bids[i].amount / inst.requests[i].demand for i, _ in variables
+    ]
+    rows = []
+    rhs = []
+    for i in range(inst.n):
+        rows.append([F1 if j == i else F0 for j, _ in variables])
+        rhs.append(inst.requests[i].demand)
+    for e in range(len(inst.graph.edges)):
+        rows.append([F1 if e in p else F0 for _, p in variables])
+        rhs.append(inst.graph.edges[e][2])
+    return LinearProgram(objective, rows, rhs), variables
 
 
 def residual_loss_reference(inst, bids, xbar):

@@ -158,6 +158,22 @@ def test_greedy_matches_path_lp_random():
             assert welfare == solve_path_lp(inst, bids)
 
 
+def test_path_lp_matches_the_flow_unit_reference():
+    # solve_path_lp relaxes integer_program in shares of each demand;
+    # oracles.path_lp_reference is the flow-unit program it replaced, here
+    # solved by the Fraction tableau, under truthful and random bids
+    rng = Random(29)
+    for inst in gen_flow_instances(40, seed=23):
+        random_bids = tuple(
+            RouteValuation(i, Fraction(rng.randint(0, 10), rng.choice((1, 2))))
+            for i in range(inst.n)
+        )
+        for bids in (truthful_flow_bids(inst), random_bids):
+            lp, _ = oracles.path_lp_reference(inst, bids)
+            _, _, value = oracles.solve_lp_reference(lp.objective, lp.rows, lp.rhs)
+            assert solve_path_lp(inst, bids) == value
+
+
 def two_route_instance():
     """Two players with sink 2, reached by 0-1-2 (edges 0, 1) and 0-3-2
     (edges 2, 3), every capacity 1; player 0 demands 1, player 1 a half."""
@@ -570,8 +586,9 @@ def test_integral_assignment_guard(monkeypatch):
 
 
 def test_integral_program_enumerates_paths_once(monkeypatch):
-    # two routes to each sink; two solves under different bids share one
-    # compiled program, so each request's paths are enumerated once
+    # two routes to each sink; integral and path-LP solves under different
+    # bids share one compiled program, so each request's paths are
+    # enumerated once
     g = CapacitatedDigraph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (1, 2, 1)])
     inst = FlowInstance(g, 0, [(3, 1, 2), (3, 1, 3), (2, 1, 1)])
     sinks = []
@@ -584,8 +601,10 @@ def test_integral_program_enumerates_paths_once(monkeypatch):
     first = solve_flow_integral(inst, truthful_flow_bids(inst))
     flat = tuple(RouteValuation(i, 1) for i in range(inst.n))
     second = solve_flow_integral(inst, flat)
+    relaxed = [solve_path_lp(inst, bids) for bids in (truthful_flow_bids(inst), flat)]
     assert sorted(sinks) == sorted(r.sink for r in inst.requests)
     assert (first[1], second[1]) == (5, 2)
+    assert relaxed == [5, 2]
 
 
 def test_integral_prefers_lex_smallest():

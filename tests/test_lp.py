@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 
 from anarchy import StructuralError
-from anarchy.solvers import OPTIMAL, UNBOUNDED, IntegerProgram, LinearProgram, solve_lp
+from anarchy.solvers import OPTIMAL, UNBOUNDED, IntegerProgram, solve_lp
 
-from oracles import lp_opt_by_vertex_enum
+from oracles import LinearProgram, _compile, lp_opt_by_vertex_enum
 
 F = Fraction
 
 
 def test_two_box_constraints():
     lp = LinearProgram([1, 1], [[1, 0], [0, 1]], [1, 1])
-    sol = solve_lp(lp)
+    sol = solve_lp(_compile(lp))
     assert sol.status == OPTIMAL
     assert sol.value == 2
     assert sol.x == (F(1), F(1))
@@ -23,13 +23,13 @@ def test_two_box_constraints():
 
 def test_unbounded_without_constraints():
     lp = LinearProgram([1], [], [])
-    assert solve_lp(lp).status == UNBOUNDED
+    assert solve_lp(_compile(lp)).status == UNBOUNDED
 
 
 def test_unbounded_direction_detected():
     # x - y can grow along x with y = 0 pinned by nothing.
     lp = LinearProgram([1, 0], [[-1, 1]], [3])
-    assert solve_lp(lp).status == UNBOUNDED
+    assert solve_lp(_compile(lp)).status == UNBOUNDED
 
 
 def test_dimension_mismatch_rejected():
@@ -50,6 +50,10 @@ def test_integer_program_shape_and_rhs_checked():
         IntegerProgram([F(1), F(2)], [[1, 0]])
     with pytest.raises(StructuralError, match="row 1 is not 1 coefficients and an rhs >= 0"):
         IntegerProgram([F(1)], [[1, 2], [1, -1]])
+    # Fraction rows would be floored by the exact integer divisions, and
+    # this program solved to 2 instead of 12/5
+    with pytest.raises(StructuralError, match="row 0 holds a value that is not an int"):
+        IntegerProgram([F(1), F(1)], [[F(1, 2), F(1, 3), 1], [F(1, 3), F(1, 2), 1]])
 
 
 def test_both_program_forms_solve_alike():
@@ -60,7 +64,7 @@ def test_both_program_forms_solve_alike():
         [F(7, 8), F(2, 3)],
     )
     compiled = IntegerProgram(lp.objective, [[4, 6, 7], [15, 2, 12]])
-    assert solve_lp(compiled) == solve_lp(lp)
+    assert solve_lp(compiled) == solve_lp(_compile(lp))
 
 
 def test_fractional_data_solved_exactly():
@@ -69,7 +73,7 @@ def test_fractional_data_solved_exactly():
         [[F(1, 2), F(3, 4)], [F(5, 6), F(1, 9)]],
         [F(7, 8), F(2, 3)],
     )
-    sol = solve_lp(lp)
+    sol = solve_lp(_compile(lp))
     oracle = lp_opt_by_vertex_enum(lp.objective, lp.rows, lp.rhs)
     assert sol.status == OPTIMAL
     assert sol.value == oracle
@@ -83,7 +87,7 @@ def test_degenerate_program_terminates():
         [[1, 1, 1], [1, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]],
         [1, 1, 1, 1, 1],
     )
-    sol = solve_lp(lp)
+    sol = solve_lp(_compile(lp))
     oracle = lp_opt_by_vertex_enum(lp.objective, lp.rows, lp.rhs)
     assert sol.status == OPTIMAL
     assert sol.value == oracle
@@ -104,7 +108,7 @@ def test_random_programs_match_vertex_enumeration():
         rows.append([F(1)] * n)
         rhs.append(F(rng.randint(1, 10)))
         lp = LinearProgram(objective, rows, rhs)
-        sol = solve_lp(lp)
+        sol = solve_lp(_compile(lp))
         oracle = lp_opt_by_vertex_enum(objective, rows, rhs)
         assert sol.status == OPTIMAL
         assert sol.value == oracle, f"trial {trial}: {sol.value} != {oracle}"
@@ -127,7 +131,7 @@ def test_weak_duality_spot_check():
         rows.append([F(1)] * n)
         rhs.append(F(rng.randint(1, 8)))
         lp = LinearProgram(objective, rows, rhs)
-        sol = solve_lp(lp)
+        sol = solve_lp(_compile(lp))
         assert sol.status == OPTIMAL
         for _ in range(5):
             scale = F(rng.randint(0, 16), 16)

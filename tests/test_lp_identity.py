@@ -15,17 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anarchy import auctions, flows, packing
-from anarchy.solvers import IntegerProgram, LinearProgram, solve_lp
+from anarchy.solvers import IntegerProgram, solve_lp
 from anarchy.solvers import lp as lp_module
 
 import oracles
-from oracles import solve_lp_reference
+from oracles import LinearProgram, _compile, solve_lp_reference
 
 F = Fraction
 
 
 def assert_same_as_reference(lp, sol=None):
-    sol = solve_lp(lp) if sol is None else sol
+    sol = solve_lp(_compile(lp)) if sol is None else sol
     expected = solve_lp_reference(lp.objective, lp.rows, lp.rhs)
     assert (sol.status, sol.x, sol.value) == expected, lp
 
@@ -47,37 +47,82 @@ def assert_same_pivots_as_reference(lp, program=None):
     with patch.object(lp_module, "_pivot", recording(lp_module._pivot, got)), patch.object(
         oracles, "_ref_pivot", recording(oracles._ref_pivot, expected)
     ):
-        assert_same_as_reference(lp, solve_lp(lp if program is None else program))
+        program = _compile(lp) if program is None else program
+        assert_same_as_reference(lp, solve_lp(program))
     assert got == expected, lp
+
+
+def assert_stands_for(program, lp):
+    """program is lp in ints: the same objective, and each integer row a
+    positive multiple of lp's row with its rhs, in lp's row order."""
+    assert list(program.objective) == list(lp.objective)
+    assert len(program.rows) == len(lp.rows)
+    for ints, row, b in zip(program.rows, lp.rows, lp.rhs):
+        ref = row + (b,)
+        assert len(ints) == len(ref)
+        j = next((j for j, a in enumerate(ref) if a), None)
+        if j is None:
+            assert not any(ints)
+            continue
+        t = ints[j] / ref[j]
+        assert t > 0 and all(a == t * r for a, r in zip(ints, ref))
 
 
 @pytest.fixture
 def recorded(monkeypatch):
     """Every (program, solution) the library solves while the fixture is
-    live. A packing program enters solve_lp compiled; it is recorded as the
-    Fraction program that _packing_lp's arguments stand for, read off the
-    instance data by oracles.packing_program, so the comparison also holds
-    the compile to the program it stands for."""
-    calls = []
-    packing_lp = packing._packing_lp
+    live. Each program enters solve_lp as a mechanism.relaxation in ints;
+    it is recorded as the Fraction program its caller stands for, read off
+    the instance data by oracles.packing_program (full, residual,
+    configuration and cardinality programs) or oracles.path_program (path
+    LPs), and each integer row must be a positive multiple of its row
+    there. So the comparison also holds the builder to the program it
+    stands for."""
+    calls, solved = [], []
 
     def recorder(program):
         sol = solve_lp(program)
-        calls.append((program, sol))
+        solved.append((program, sol))
         return sol
 
-    def packing_recorder(inst, bids, players, capacities):
-        sol = packing_lp(inst, bids, players, capacities)
-        program, solved = calls[-1]
-        assert solved is sol and isinstance(program, IntegerProgram)
-        reference = oracles.packing_program(inst, bids, players, capacities)
-        calls[-1] = (LinearProgram(*reference), sol)
-        return sol
+    def stands_for(module, name, reference):
+        solve = getattr(module, name)
 
-    monkeypatch.setattr(packing, "solve_lp", recorder)
-    monkeypatch.setattr(flows, "solve_lp", recorder)
-    monkeypatch.setattr(packing, "_packing_lp", packing_recorder)
-    return calls
+        def wrapper(*args):
+            out = solve(*args)
+            if solved:
+                [(program, sol)] = solved
+                assert isinstance(program, IntegerProgram)
+                # the caller returns the value of the solve recorded for it
+                assert (out if isinstance(out, Fraction) else out[1]) == sol.value
+                lp = LinearProgram(*reference(*args))
+                assert_stands_for(program, lp)
+                calls.append((lp, sol))
+                solved.clear()
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def full(inst, bids):
+        return oracles.packing_program(inst, bids, range(inst.n), inst.capacities)
+
+    def residual(inst, bids, excluded, capacities):
+        others = [i for i in range(inst.n) if i != excluded]
+        return oracles.packing_program(inst, bids, others, capacities)
+
+    def cardinality(m, bids):
+        return full(*oracles.cardinality_instance(m, bids))
+
+    for module in (packing, auctions, flows):
+        monkeypatch.setattr(module, "solve_lp", recorder)
+    # solve_config_lp calls solve_packing_lp through auctions' own binding
+    stands_for(packing, "solve_packing_lp", full)
+    stands_for(auctions, "solve_packing_lp", full)
+    stands_for(packing, "residual_welfare", residual)
+    stands_for(auctions, "solve_cardinality_lp", cardinality)
+    stands_for(flows, "solve_path_lp", oracles.path_program)
+    yield calls
+    assert solved == []  # every solve was made on behalf of a recorded caller
 
 
 def test_library_programs_match_the_reference(recorded):
@@ -142,6 +187,6 @@ def test_signed_programs_match_the_reference(lp):
 def test_integer_programs_with_scaled_rows_match_the_reference(lp, scales):
     # any positive multiple of each compiled row is the same program
     rows = [
-        [a * s for a in row] for row, s in zip(lp_module._compile(lp).rows, scales)
+        [a * s for a in row] for row, s in zip(_compile(lp).rows, scales)
     ]
     assert_same_pivots_as_reference(lp, IntegerProgram(lp.objective, rows))

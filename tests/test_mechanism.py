@@ -24,13 +24,14 @@ from anarchy.mechanism import (
     integral_argmax,
     poa_from_smoothness,
     product_support,
+    relaxation,
     run_pay_your_bid,
     scaled_bid_profiles,
     theta_grid,
     verify_pure_nash,
 )
 from anarchy.rationals import F0, F1, frac
-from anarchy.solvers import CapacitatedDigraph
+from anarchy.solvers import CapacitatedDigraph, solve_lp
 from oracles import product_support_reference, smoothness_by_support
 
 H = Fraction(1, 2)
@@ -360,6 +361,20 @@ def test_integral_argmax_search_fallback(monkeypatch):
     assert swept == searched == ((1, 1, 1, 0, 0, 1), 5)  # ties: the lex-smallest tuple
     assert flows.solve_flow_integral(inst, bids)[0].paths == ((0,),) * 3 + (None, None, (0,))
     assert packing.solve_packing_integral(twin, packing.truthful_bids(twin))[1] == 5
+
+
+def test_relaxation_layout():
+    # player 0's options use resource 0, then resources 0 and 1; player 1
+    # has none, so it has no column and no "at most one" row. Capacity 3/2
+    # scales resource 0's row by 2 against rhs 3; the int 2 leaves row 1.
+    program = relaxation(
+        [[[(0, 2)], [(0, 1), (1, 3)]], []], [Fraction(3, 2), 2], [[H, 5], []]
+    )
+    assert program.objective == [H, 5]
+    assert program.rows == [[4, 2, 3], [0, 3, 2], [1, 1, 1]]
+    sol = solve_lp(program)
+    # resource 1 holds x1 to 2/3 and player 0's row x0 to 1/3
+    assert (sol.x, sol.value) == ((Fraction(1, 3), Fraction(2, 3)), Fraction(7, 2))
 
 
 # each valuation class twice, equal but built from different inputs
