@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, islice
-from math import comb, gcd, lcm, prod
+from math import comb, e, gcd, lcm, prod
 from random import Random
 from typing import ClassVar
 
@@ -22,6 +22,9 @@ from .mechanism import (
     AllocationRule,
     CostCertificate,
     Counterexample,
+    HALF_VALUE,
+    SmoothnessParams,
+    SymbolicAlpha,
     Valuation,
     integral_argmax,
     product_support,
@@ -34,7 +37,7 @@ from .packing import (
     solve_packing_lp,
     truthful_bids,
 )
-from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
+from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, scale_to_integers
 
 # unused here; kept while bench/tests/test_bench.py expects this binding
 from .rationals import weighted_index  # noqa: F401
@@ -535,6 +538,24 @@ def fair_round_support(xbar: CardinalityLPSolution, m: int) -> list:
 
 
 # -------------------------------------------------------------------- rules
+
+
+def config_lp_smoothness(k: int) -> SmoothnessParams:
+    """The configuration LP over MPH-k bids is (1/2, k + 1)-smooth, half-value."""
+    return SmoothnessParams(HALF, k + 1, HALF_VALUE)
+
+
+def mph_alpha(k: int) -> SymbolicAlpha:
+    """The paper's rounding loss for MPH-k bids, by name; not implemented here."""
+    return SymbolicAlpha(f"alpha_{k}")
+
+
+# the paper's rounding loss for XOS bids, also not implemented here
+XOS_ALPHA = SymbolicAlpha("e/(e-1)", e / (e - 1))
+# the cardinality LP is (1/2, 2)-smooth for half-value deviations, and
+# fair_round keeps 1/16 of each player's value in expectation
+CARDINALITY_LP_SMOOTHNESS = SmoothnessParams(HALF, 2, HALF_VALUE)
+FAIR_ALPHA = 16
 
 
 def config_lp_rule(n: int, m: int) -> AllocationRule:

@@ -14,13 +14,11 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import e
 from typing import Optional
 
 from . import auctions, dynamics, flows, maxtsp, packing
 from .mechanism import (
-    HALF_VALUE,
-    SmoothnessParams,
+    SymbolicAlpha,
     check_smoothness,
     compose_smoothness,
     poa_from_smoothness,
@@ -112,84 +110,45 @@ def _mark(row: ReportRow, started: float) -> ReportRow:
 # ----------------------------------------------------------- paper table
 
 
-def _composed_poa(lam, mu, alpha) -> Fraction:
-    base = SmoothnessParams(lam, mu, HALF_VALUE)
-    return poa_from_smoothness(compose_smoothness(base, alpha))
-
-
 def cmd_paper_table(config: ExperimentConfig) -> list:
-    """Composed price-of-anarchy bounds for every mechanism family."""
+    """Composed price-of-anarchy bounds for every mechanism family, from
+    the relaxation smoothness and rounding loss its module states."""
+    families = [
+        ("multi-unit", packing.lp_smoothness(1), packing.rounding_alpha(1)),
+        *(
+            (f"d-sparse-{d}", packing.lp_smoothness(d), packing.rounding_alpha(d))
+            for d in range(1, 6)
+        ),
+        ("maxtsp-fisher", maxtsp.CYCLE_COVER_SMOOTHNESS, maxtsp.FISHER_ALPHA),
+        *(
+            (f"flow-eps-{frac_str(eps)}", flows.GREEDY_SMOOTHNESS, flows.rt_alpha(eps))
+            for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1))
+        ),
+        ("xos", auctions.config_lp_smoothness(1), auctions.XOS_ALPHA),
+        *(
+            (f"mph-{k}", auctions.config_lp_smoothness(k), auctions.mph_alpha(k))
+            for k in (1, 2, 3)
+        ),
+    ]
     rows = []
     t0 = time.monotonic()
-
-    def add(name, results):
+    for name, params, alpha in families:
+        results = {"lam": params.lam, "mu": params.mu}
+        if isinstance(alpha, SymbolicAlpha):
+            # composing a half-value bound multiplies its price of anarchy by
+            # alpha, so the row reports the relaxation's own exact bound times
+            # the symbol; the decimal twin, where known, uses floats
+            coeff = poa_from_smoothness(params)
+            results["alpha"] = alpha.name
+            results["poa"] = f"{frac_str(coeff)}*{alpha.name}"
+            if alpha.approx is not None:
+                results["poa_decimal"] = round(float(coeff) * alpha.approx, 6)
+        else:
+            results["alpha"] = frac_str(alpha)
+            results["poa"] = poa_from_smoothness(compose_smoothness(params, alpha))
         # each row's clock starts when the previous row was stamped
-        nonlocal t0
         rows.append(_mark(ReportRow(name, config, results), t0))
         t0 = time.monotonic()
-
-    add(
-        "multi-unit",
-        {
-            "lam": Fraction(1, 2),
-            "mu": Fraction(2),
-            "alpha": "8",
-            "poa": _composed_poa(Fraction(1, 2), 2, 8),
-        },
-    )
-    for d in range(1, 6):
-        add(
-            f"d-sparse-{d}",
-            {
-                "lam": Fraction(1, 2),
-                "mu": Fraction(d + 1),
-                "alpha": str(8 * d),
-                "poa": _composed_poa(Fraction(1, 2), d + 1, 8 * d),
-            },
-        )
-    add(
-        "maxtsp-fisher",
-        {
-            "lam": Fraction(1, 2),
-            "mu": Fraction(3),
-            "alpha": "2",
-            "poa": _composed_poa(Fraction(1, 2), 3, 2),
-        },
-    )
-    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
-        add(
-            f"flow-eps-{frac_str(eps)}",
-            {
-                "lam": Fraction(1, 2),
-                "mu": Fraction(1),
-                "alpha": frac_str(1 + eps),
-                "poa": _composed_poa(Fraction(1, 2), 1, 1 + eps),
-            },
-        )
-    # alpha = e/(e-1) is irrational, so the row reports the exact rational
-    # coefficient times a symbolic factor; the decimal twin uses floats
-    xos_coeff = _composed_poa(Fraction(1, 2), 2, 1)
-    add(
-        "xos",
-        {
-            "lam": Fraction(1, 2),
-            "mu": Fraction(2),
-            "alpha": "e/(e-1)",
-            "poa": f"{frac_str(xos_coeff)}*e/(e-1)",
-            "poa_decimal": round(float(xos_coeff) * e / (e - 1), 6),
-        },
-    )
-    for k in (1, 2, 3):
-        coeff = _composed_poa(Fraction(1, 2), k + 1, 1)
-        add(
-            f"mph-{k}",
-            {
-                "lam": Fraction(1, 2),
-                "mu": Fraction(k + 1),
-                "alpha": f"alpha_{k}",
-                "poa": f"{frac_str(coeff)}*alpha_{k}",
-            },
-        )
     return rows
 
 
@@ -350,83 +309,50 @@ def _smoothness_row(config, name, rule, values, bid_grid, params) -> ReportRow:
     return _mark(row, t0)
 
 
-def _uniform_scalings(values, resolution) -> list:
-    """One bid profile per theta, every player scaled alike."""
-    return [tuple(v.scale(t) for v in values) for t in theta_grid(resolution)]
-
-
 def cmd_check_smoothness(config: ExperimentConfig) -> list:
     res = config.grid
-    if config.domain == "packing":
-        if config.m:
-            # exact integral mechanism checked at its own equilibrium profile;
-            # large m makes every half-value deviation worthless there
-            ce = packing.gen_multiunit_counterexample(config.m)
-            params = SmoothnessParams(Fraction(1, 2), 2, HALF_VALUE)
-            return [
-                _smoothness_row(
-                    config, "multiunit-integral", ce.rule, ce.values, [ce.bids], params
-                )
-            ]
-        inst = packing.gen_instances("multi-unit", 1, config.seed, n=2, m=3)[0]
-        values = packing.truthful_bids(inst)
-        grid = scaled_bid_profiles(values, theta_grid(res))
-        d = packing.column_sparsity(inst)
-        params = SmoothnessParams(Fraction(1, 2), d + 1, HALF_VALUE)
-        return [
-            _smoothness_row(
-                config, "packing-lp", packing.lp_rule(inst), values, grid, params
-            )
-        ]
-    if config.domain == "flow":
-        inst = _unit_edge_duopoly()
-        values = flows.truthful_flow_bids(inst)
-        grid = scaled_bid_profiles(values, theta_grid(res))
-        params = SmoothnessParams(Fraction(1, 2), 1, HALF_VALUE)
-        return [
-            _smoothness_row(
-                config, "flow-greedy", flows.fractional_rule(inst), values, grid, params
-            )
-        ]
     if config.domain == "maxtsp":
         rows = []
-        params = SmoothnessParams(Fraction(1, 2), 3, HALF_VALUE)
         for t, g in enumerate(maxtsp.gen_digraphs(2, config.seed, sizes=(4,))):
             values = maxtsp.truthful_edge_bids(g)
             # one player per ordered vertex pair; scale profiles uniformly,
             # the per-player product grid would be 3^12 wide
-            grid = _uniform_scalings(values, res)
+            grid = [tuple(v.scale(th) for v in values) for th in theta_grid(res)]
+            rule, params = maxtsp.cycle_cover_rule(g), maxtsp.CYCLE_COVER_SMOOTHNESS
             rows.append(
-                _smoothness_row(
-                    config,
-                    f"cycle-cover-{t}",
-                    maxtsp.cycle_cover_rule(g),
-                    values,
-                    grid,
-                    params,
-                )
+                _smoothness_row(config, f"cycle-cover-{t}", rule, values, grid, params)
             )
         return rows
-    m = config.m or 2
-    values = tuple(
-        auctions.SymmetricValuation(i, tuple(Fraction(j) for j in range(m + 1)))
-        for i in range(2)
-    )
-    grid = scaled_bid_profiles(values, theta_grid(res))
-    params = SmoothnessParams(Fraction(1, 2), 2, HALF_VALUE)
-    rule = auctions.config_lp_rule(2, m)
-    return [_smoothness_row(config, "config-lp", rule, values, grid, params)]
-
-
-def _tally_row(config, name, held, started) -> ReportRow:
-    """One row counting how many of the checks in held came out true."""
-    row = ReportRow(
-        name,
-        config,
-        {"checked": len(held), "held": sum(held)},
-        verdict="holds" if all(held) else "violated",
-    )
-    return _mark(row, started)
+    if config.domain == "packing" and config.m:
+        # exact integral mechanism checked against the LP's bound at its own
+        # equilibrium profile; large m makes every half-value deviation
+        # worthless there
+        ce = packing.gen_multiunit_counterexample(config.m)
+        name, rule, values, grid = "multiunit-integral", ce.rule, ce.values, [ce.bids]
+        params = packing.lp_smoothness(packing.column_sparsity(ce.instance))
+    elif config.domain == "packing":
+        inst = packing.gen_instances("multi-unit", 1, config.seed, n=2, m=3)[0]
+        name, rule = "packing-lp", packing.lp_rule(inst)
+        values = packing.truthful_bids(inst)
+        grid = scaled_bid_profiles(values, theta_grid(res))
+        params = packing.lp_smoothness(packing.column_sparsity(inst))
+    elif config.domain == "flow":
+        inst = _unit_edge_duopoly()
+        name, rule = "flow-greedy", flows.fractional_rule(inst)
+        values = flows.truthful_flow_bids(inst)
+        grid = scaled_bid_profiles(values, theta_grid(res))
+        params = flows.GREEDY_SMOOTHNESS
+    else:
+        m = config.m or 2
+        # two bidders with additive values: the configuration LP at k = 1
+        values = tuple(
+            auctions.SymmetricValuation(i, tuple(Fraction(j) for j in range(m + 1)))
+            for i in range(2)
+        )
+        grid = scaled_bid_profiles(values, theta_grid(res))
+        name, rule = "config-lp", auctions.config_lp_rule(2, m)
+        params = auctions.config_lp_smoothness(1)
+    return [_smoothness_row(config, name, rule, values, grid, params)]
 
 
 def cmd_check_lemma(config: ExperimentConfig) -> list:
@@ -435,30 +361,33 @@ def cmd_check_lemma(config: ExperimentConfig) -> list:
     if config.domain == "packing":
         sparsities = (config.d,) if config.d else (1, 2, 3)
         certs = packing.social_cost_suite(count, config.seed, sparsities)
-        return [_tally_row(config, "pip-social-cost", [c.holds for c in certs], t0)]
-    held = []
-    if config.domain == "flow":
+        name, held = "pip-social-cost", [c.holds for c in certs]
+    elif config.domain == "flow":
+        name, held = "greedy-equals-lp", []
         for inst in flows.gen_flow_instances(count, config.seed):
             bids = flows.truthful_flow_bids(inst)
             _, greedy = flows.greedy_fractional_flow(inst, bids)
             held.append(greedy == flows.solve_path_lp(inst, bids))
-        return [_tally_row(config, "greedy-equals-lp", held, t0)]
-    if config.domain == "maxtsp":
+    elif config.domain == "maxtsp":
+        name, held = "cycle-cover-social-cost", []
         for g in maxtsp.gen_digraphs(count, config.seed, sizes=(4, 5)):
             bids = maxtsp.truthful_edge_bids(g)
             cover, _ = maxtsp.max_weight_cycle_cover(g)
             held.append(maxtsp.check_cc_social_cost(g, bids, cover).holds)
-        return [_tally_row(config, "cycle-cover-social-cost", held, t0)]
-    k = config.k or 1
-    pairs = (
-        auctions.gen_mph_instances(count, config.seed, k=k)
-        if k > 1
-        else auctions.gen_xos_instances(count, config.seed)
-    )
-    for m, values in pairs:
-        x, _ = auctions.solve_config_lp(len(values), m, values)
-        held.append(auctions.check_ca_social_cost(values, x, k).holds)
-    return [_tally_row(config, "one-out-social-cost", held, t0)]
+    else:
+        k = config.k or 1
+        pairs = (
+            auctions.gen_mph_instances(count, config.seed, k=k)
+            if k > 1
+            else auctions.gen_xos_instances(count, config.seed)
+        )
+        name, held = "one-out-social-cost", []
+        for m, values in pairs:
+            x, _ = auctions.solve_config_lp(len(values), m, values)
+            held.append(auctions.check_ca_social_cost(values, x, k).holds)
+    results = {"checked": len(held), "held": sum(held)}
+    row = ReportRow(name, config, results, "holds" if all(held) else "violated")
+    return [_mark(row, t0)]
 
 
 def cmd_counterexample(config: ExperimentConfig) -> list:
@@ -506,24 +435,24 @@ def _dynamics_setup(config: ExperimentConfig):
         inst = _unit_edge_duopoly()
         values = flows.truthful_flow_bids(inst)
         opt = flows.solve_path_lp(inst, values)
-        params = SmoothnessParams(Fraction(1, 2), 1, HALF_VALUE)
-        return flows.fractional_rule(inst), values, opt, params
+        return flows.fractional_rule(inst), values, opt, flows.GREEDY_SMOOTHNESS
     if config.domain == "packing":
         ce = packing.gen_multiunit_counterexample(config.m or 4)
         _, opt = packing.solve_packing_lp(ce.instance, ce.values)
-        params = SmoothnessParams(Fraction(1, 2), 2, HALF_VALUE)
+        params = packing.lp_smoothness(packing.column_sparsity(ce.instance))
         return packing.integral_rule(ce.instance), ce.values, opt, params
     if config.domain == "auctions":
         m = config.m or 4
         rule = auctions.fair_rule(m)
         values = auctions.gen_symmetric_counterexample(m).values
-        params = compose_smoothness(SmoothnessParams(Fraction(1, 2), 2, HALF_VALUE), 16)
+        params = compose_smoothness(
+            auctions.CARDINALITY_LP_SMOOTHNESS, auctions.FAIR_ALPHA
+        )
         return rule, values, rule.solve(values)[1], params
     g = maxtsp.gen_digraphs(1, config.seed, sizes=(3,))[0]
     rule = maxtsp.cycle_cover_rule(g)
     values = maxtsp.truthful_edge_bids(g)
-    params = SmoothnessParams(Fraction(1, 2), 3, HALF_VALUE)
-    return rule, values, rule.solve(values)[1], params
+    return rule, values, rule.solve(values)[1], maxtsp.CYCLE_COVER_SMOOTHNESS
 
 
 def cmd_dynamics(config: ExperimentConfig) -> list:

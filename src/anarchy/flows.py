@@ -29,9 +29,10 @@ from .errors import (
     SizeGuardError,
     StructuralError,
 )
-from .mechanism import AllocationRule, Counterexample, Valuation
-from .mechanism import integral_argmax, product_support, relaxation
-from .rationals import F0, F1, bernoulli, frac, frac_str, parse_frac, weighted_index
+from .mechanism import AllocationRule, Counterexample, SmoothnessParams, Valuation
+from .mechanism import HALF_VALUE, integral_argmax, product_support, relaxation
+from .rationals import F0, F1, HALF, bernoulli, frac, frac_str, parse_frac
+from .rationals import weighted_index
 from .solvers import CapacitatedDigraph, Residual, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
@@ -152,8 +153,11 @@ class RouteValuation(Valuation):
         object.__setattr__(self, "amount", amount)
 
     def value(self, outcome) -> Fraction:
+        """Pro rata in a flow's routed share; amount or nothing if integral."""
         if outcome is None:
             return F0
+        if isinstance(outcome, PathAssignment):
+            return self.amount if outcome.paths[self.player] is not None else F0
         return self.amount * outcome.routed_fraction(self.player)
 
     def scale(self, theta) -> "RouteValuation":
@@ -495,6 +499,15 @@ def rt_support(flow: FractionalFlow, inst: FlowInstance, epsilon):
         (p, _alter_to_feasible(inst, flow, chosen))
         for p, chosen in product_support(options)
     ]
+
+
+# the greedy fractional flow is (1/2, 1)-smooth for half-value deviations
+GREEDY_SMOOTHNESS = SmoothnessParams(HALF, 1, HALF_VALUE)
+
+
+def rt_alpha(epsilon) -> Fraction:
+    """Loss of rt_round at slack epsilon."""
+    return 1 + frac(epsilon)
 
 
 def fractional_rule(inst: FlowInstance) -> AllocationRule:

@@ -13,11 +13,15 @@ from random import Random
 from typing import ClassVar
 
 from .errors import SizeGuardError, StructuralError
-from .mechanism import AllocationRule, CostCertificate, Valuation, product_support
-from .rationals import F0, F1, frac, frac_str, parse_frac
+from .mechanism import AllocationRule, CostCertificate, HALF_VALUE, SmoothnessParams
+from .mechanism import Valuation, product_support
+from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
+# largest graph whose half-edge structures are enumerated
 HALF_EDGE_VERTEX_LIMIT = 6
+# largest graph whose structures are scanned once per forced tour edge
+HALF_EDGE_SCAN_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,9 @@ class HalfEdgeCover:
 def _half_edge_structures(n: int) -> tuple:
     """All degree-valid half-arc sets on n vertices, in search order."""
     if n > HALF_EDGE_VERTEX_LIMIT:
-        raise SizeGuardError("half-edge search is limited to 6 vertices")
+        raise SizeGuardError(
+            f"half-edge search is limited to {HALF_EDGE_VERTEX_LIMIT} vertices"
+        )
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     last_pair_of = {}
     for idx, (u, v) in enumerate(pairs):
@@ -457,8 +463,10 @@ def check_half_edge_social_cost(g: CompleteDigraph, bids, tour: HamiltonianCycle
     """Forcing each tour edge fully into the best half-edge structure loses
     at most 3x the structure's weight in total."""
     n = g.num_vertices
-    if n > 5:
-        raise SizeGuardError("forced half-edge scan is limited to 5 vertices")
+    if n > HALF_EDGE_SCAN_LIMIT:
+        raise SizeGuardError(
+            f"forced half-edge scan is limited to {HALF_EDGE_SCAN_LIMIT} vertices"
+        )
     if tour.n != n:
         raise StructuralError("tour size does not match the graph")
     wf = _bid_weight(g, bids)
@@ -480,6 +488,12 @@ def check_half_edge_social_cost(g: CompleteDigraph, bids, tour: HamiltonianCycle
 
 
 # ------------------------------------------------------------------- rules
+
+
+# the cycle-cover relaxation is (1/2, 3)-smooth for half-value deviations,
+# and fisher_round keeps each edge with probability at least 1/2
+CYCLE_COVER_SMOOTHNESS = SmoothnessParams(HALF, 3, HALF_VALUE)
+FISHER_ALPHA = 2
 
 
 def cycle_cover_rule(g: CompleteDigraph) -> AllocationRule:

@@ -242,6 +242,14 @@ def compose_smoothness(params: SmoothnessParams, alpha) -> SmoothnessParams:
 
 
 @dataclass(frozen=True)
+class SymbolicAlpha:
+    """A rounding loss with no rational value, by name and float if known."""
+
+    name: str
+    approx: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class AllocationRule:
     """A relax-and-round rule: an exact relaxation solve, then a round that
     never reads the bids.

@@ -24,8 +24,8 @@ from typing import ClassVar
 
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
-from .mechanism import integral_argmax, relaxation
-from .rationals import F0, F1, frac, frac_str, parse_frac, scale_to_integers
+from .mechanism import HALF_VALUE, SmoothnessParams, integral_argmax, relaxation
+from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import solve_lp
 
 
@@ -311,6 +311,16 @@ def integral_rule(inst: PackingInstance) -> AllocationRule:
         lambda bids: solve_packing_integral(inst, bids),
         name="packing-integral",
     )
+
+
+def lp_smoothness(d: int) -> SmoothnessParams:
+    """The LP of column sparsity d is (1/2, d + 1)-smooth, half-value."""
+    return SmoothnessParams(HALF, d + 1, HALF_VALUE)
+
+
+def rounding_alpha(d: int) -> int:
+    """The paper's rounding loss at sparsity d; not implemented here."""
+    return 8 * d
 
 
 def multiunit_instance(values, m: int) -> PackingInstance:

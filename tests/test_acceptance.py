@@ -297,7 +297,9 @@ def test_12_hedge_on_fair_rounding():
     regrets = dynamics.half_value_regret(trace)
     for r in regrets:
         assert r <= Fr(5, 100) * opt, [float(x) for x in regrets]
-    params = compose_smoothness(SmoothnessParams(H, 2, HALF_VALUE), 16)
+    params = compose_smoothness(
+        auctions.CARDINALITY_LP_SMOOTHNESS, auctions.FAIR_ALPHA
+    )
     report = dynamics.empirical_poa(trace, opt, smoothness=params)
     assert report.bound == 64
     assert report.ratio is not None and report.ratio <= 64

@@ -10,6 +10,8 @@ import pytest
 
 from anarchy import auctions
 from anarchy.auctions import (
+    CARDINALITY_LP_SMOOTHNESS,
+    FAIR_ALPHA,
     CardinalityLPSolution,
     ConfigLPSolution,
     MPHkValuation,
@@ -826,10 +828,9 @@ def test_flat_bid_helper():
 
 
 def test_fair_rounding_composition_constant():
-    base = SmoothnessParams(Fr(1, 2), 2, HALF_VALUE)
-    composed = compose_smoothness(base, 16)
+    composed = compose_smoothness(CARDINALITY_LP_SMOOTHNESS, FAIR_ALPHA)
     assert composed.deviation == HALF_VALUE
-    assert composed.lam == Fr(1, 32)
+    assert (composed.lam, composed.mu) == (Fr(1, 32), 2)
     assert poa_from_smoothness(composed) == 64
 
 

@@ -11,6 +11,8 @@ import pytest
 
 from anarchy import flows, maxtsp, packing
 from anarchy.auctions import (
+    CARDINALITY_LP_SMOOTHNESS,
+    FAIR_ALPHA,
     SymmetricValuation,
     cardinality_integral_rule,
     fair_rule,
@@ -438,7 +440,7 @@ def test_trace_smoothness_on_fair_rounding():
     grid = StrategyGrid.uniform(len(values), 2)
     trace = run_hedge(rule, values, grid, 250, seed=6)
     opt = solve_cardinality_lp(m, values)[1]
-    params = compose_smoothness(SmoothnessParams(Fr(1, 2), 2, HALF_VALUE), 16)
+    params = compose_smoothness(CARDINALITY_LP_SMOOTHNESS, FAIR_ALPHA)
     holds, lhs, rhs = check_trace_smoothness(trace, values, params, opt)
     assert holds
     assert lhs == trace.average_welfare()

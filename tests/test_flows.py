@@ -549,6 +549,27 @@ def test_integral_matches_brute_force():
         assert got.paths == expected_paths
 
 
+def test_route_value_is_amount_times_routed_fraction():
+    # integral outcomes answer amount or F0 directly; the product with
+    # routed_fraction is the reference on both outcome kinds
+    rng = Random(43)
+    for inst in gen_flow_instances(20, seed=47, max_vertices=5, max_players=3):
+        bids = tuple(
+            RouteValuation(i, Fraction(rng.randint(0, 8), rng.randint(1, 3)))
+            for i in range(inst.n)
+        )
+        flow, _ = greedy_fractional_flow(inst, bids)
+        outcomes = [flow, solve_flow_integral(inst, bids)[0]]
+        outcomes += [rt_round(flow, inst, Fraction(1, 10), s) for s in range(3)]
+        outcomes.append(PathAssignment(tuple(None for _ in range(inst.n))))
+        for outcome in outcomes:
+            for b in bids:
+                got = b.value(outcome)
+                assert got == b.amount * outcome.routed_fraction(b.player)
+                assert type(got) is Fraction
+    assert RouteValuation(0, 3).value(None) == 0
+
+
 def test_integral_sweep_matches_brute_force():
     # one edge of fractional capacity is swept, not searched; fractional
     # demands with flat and zero bids make ties between assignments common

@@ -471,9 +471,13 @@ def test_half_edge_at_least_best_tour():
 
 
 def test_half_edge_size_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(
+        SizeGuardError, match="^half-edge search is limited to 6 vertices$"
+    ):
         half_edge_cover(uniform_digraph(7))
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(
+        SizeGuardError, match="^forced half-edge scan is limited to 5 vertices$"
+    ):
         check_half_edge_social_cost(
             uniform_digraph(6), None, HamiltonianCycle(range(6))
         )
