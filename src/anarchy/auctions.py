@@ -11,7 +11,7 @@ and the cardinality one a one-row packing program.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations, islice
 from math import comb, e, gcd, lcm, prod
 from random import Random
@@ -600,21 +600,8 @@ def gen_symmetric_counterexample(m: int) -> Counterexample:
     ) + tuple(
         SymmetricValuation(m + t, (F0,) * m + (Fraction(2),)) for t in range(2)
     )
-    bids = tuple(
-        v.scale(0) if i < m else v for i, v in enumerate(values)
-    )
-    return Counterexample.of(None, values, bids, cardinality_integral_rule(m))
-
-
-def counterexample_symmetric_deviations(ce: Counterexample, resolution: int = 20):
-    """Scaled-value bids plus flat bids at the construction's levels 0, 1, 2."""
-    m = ce.values[0].m
-    grids = []
-    for i, v in enumerate(ce.values):
-        cand = [v.scale(Fraction(j, resolution)) for j in range(resolution + 1)]
-        cand += [flat_symmetric_bid(m, i, level) for level in (0, 1, 2)]
-        grids.append(cand)
-    return grids
+    rule = cardinality_integral_rule(m)
+    return Counterexample.of(None, values, m, rule, partial(flat_symmetric_bid, m))
 
 
 # --------------------------------------------------------------- generators

@@ -395,16 +395,13 @@ def cmd_counterexample(config: ExperimentConfig) -> list:
     t0 = time.monotonic()
     if config.domain == "packing":
         ce = packing.gen_multiunit_counterexample(m)
-        grids = packing.counterexample_deviations(ce)
     elif config.domain == "flow":
         ce = flows.gen_flow_counterexample(m)
-        grids = flows.counterexample_flow_deviations(ce)
     elif config.domain == "auctions":
         ce = auctions.gen_symmetric_counterexample(m)
-        grids = auctions.counterexample_symmetric_deviations(ce)
     else:
         raise CLIError("no equilibrium gap construction for this domain")
-    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, grids)
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
     row = ReportRow(
         "counterexample",
         config,
@@ -431,33 +428,31 @@ def _unit_edge_duopoly() -> flows.FlowInstance:
 
 
 def _dynamics_setup(config: ExperimentConfig):
+    """(rule, truthful values, stated smoothness) Hedge runs on."""
     if config.domain == "flow":
         inst = _unit_edge_duopoly()
-        values = flows.truthful_flow_bids(inst)
-        opt = flows.solve_path_lp(inst, values)
-        return flows.fractional_rule(inst), values, opt, flows.GREEDY_SMOOTHNESS
+        rule, values = flows.fractional_rule(inst), flows.truthful_flow_bids(inst)
+        return rule, values, flows.GREEDY_SMOOTHNESS
     if config.domain == "packing":
         ce = packing.gen_multiunit_counterexample(config.m or 4)
-        _, opt = packing.solve_packing_lp(ce.instance, ce.values)
         params = packing.lp_smoothness(packing.column_sparsity(ce.instance))
-        return packing.integral_rule(ce.instance), ce.values, opt, params
+        return packing.lp_rule(ce.instance), ce.values, params
     if config.domain == "auctions":
         m = config.m or 4
-        rule = auctions.fair_rule(m)
         values = auctions.gen_symmetric_counterexample(m).values
         params = compose_smoothness(
             auctions.CARDINALITY_LP_SMOOTHNESS, auctions.FAIR_ALPHA
         )
-        return rule, values, rule.solve(values)[1], params
+        return auctions.fair_rule(m), values, params
     g = maxtsp.gen_digraphs(1, config.seed, sizes=(3,))[0]
-    rule = maxtsp.cycle_cover_rule(g)
-    values = maxtsp.truthful_edge_bids(g)
-    return rule, values, rule.solve(values)[1], maxtsp.CYCLE_COVER_SMOOTHNESS
+    rule, values = maxtsp.cycle_cover_rule(g), maxtsp.truthful_edge_bids(g)
+    return rule, values, maxtsp.CYCLE_COVER_SMOOTHNESS
 
 
 def cmd_dynamics(config: ExperimentConfig) -> list:
     t0 = time.monotonic()
-    rule, values, opt, params = _dynamics_setup(config)
+    rule, values, params = _dynamics_setup(config)
+    opt = rule.solve(values)[1]
     T = config.rounds or 2000
     grid = dynamics.StrategyGrid.uniform(len(values), config.grid)
     trace = dynamics.run_hedge(rule, values, grid, T, seed=config.seed)

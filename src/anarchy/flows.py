@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from random import Random
 from typing import Callable, ClassVar
 
@@ -31,8 +30,9 @@ from .errors import (
 )
 from .mechanism import AllocationRule, Counterexample, SmoothnessParams, Valuation
 from .mechanism import HALF_VALUE, integral_argmax, product_support, relaxation
+from .mechanism import run_pay_your_bid
 from .rationals import F0, F1, HALF, bernoulli, frac, frac_str, parse_frac
-from .rationals import weighted_index
+from .rationals import scale_to_integers, weighted_index
 from .solvers import CapacitatedDigraph, Residual, max_flow, solve_lp
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
@@ -87,13 +87,10 @@ class FlowInstance:
         """(demands, capacities) as ints: each times L, the lcm of all their
         denominators, so an integer load exceeds L·c_e exactly when the
         rational load exceeds c_e."""
-        demands = [r.demand for r in self.requests]
-        caps = [c for _, _, c in self.graph.edges]
-        scale = lcm(*(q.denominator for q in demands + caps))
-        return (
-            tuple(int(d * scale) for d in demands),
-            tuple(int(c * scale) for c in caps),
+        ints, _ = scale_to_integers(
+            [r.demand for r in self.requests] + [c for _, _, c in self.graph.edges]
         )
+        return tuple(ints[: self.n]), tuple(ints[self.n :])
 
     @cached_property
     def integer_program(self) -> tuple:
@@ -575,20 +572,7 @@ def gen_flow_counterexample(m: int) -> Counterexample:
     requests += [(1, F1, Fraction(2)), (1, F1, Fraction(2))]
     inst = FlowInstance(graph, 0, requests)
     values = truthful_flow_bids(inst)
-    bids = tuple(
-        RouteValuation(i, F0) if i < m else values[i] for i in range(m + 2)
-    )
-    return Counterexample.of(inst, values, bids, integral_flow_rule(inst))
-
-
-def counterexample_flow_deviations(ce: Counterexample, resolution: int = 20):
-    """Scaled-value bids plus flat bids at the construction's levels 0, 1, 2."""
-    grids = []
-    for i, v in enumerate(ce.values):
-        cand = [v.scale(Fraction(j, resolution)) for j in range(resolution + 1)]
-        cand += [RouteValuation(i, level) for level in (0, 1, 2)]
-        grids.append(cand)
-    return grids
+    return Counterexample.of(inst, values, m, integral_flow_rule(inst), RouteValuation)
 
 
 def gen_flow_instances(count: int, seed: int, max_vertices: int = 7, max_players: int = 4):
@@ -774,8 +758,6 @@ def matroid_rule(oracle: MatroidOracle) -> AllocationRule:
 
 def matroid_greedy(oracle: MatroidOracle, bids, values=None):
     """Greedy basis under pay-your-bid; returns (chosen set, MechanismRun)."""
-    from .mechanism import run_pay_your_bid
-
     rule = matroid_rule(oracle)
     run = run_pay_your_bid(rule, bids, values if values is not None else bids)
     return run.outcome, run

@@ -441,22 +441,24 @@ def _half_edge_structures(n: int) -> tuple:
     return tuple(out)
 
 
+def _scored_half_edge_structures(g: CompleteDigraph, bids) -> list:
+    """(weight under bids, arcs) of every half-edge structure, in search order."""
+    wf = _bid_weight(g, bids)
+    return [
+        (sum((wf(u, v) / 2 for u, v, _ in arcs), F0), arcs)
+        for arcs in _half_edge_structures(g.num_vertices)
+    ]
+
+
 def half_edge_cover(g: CompleteDigraph, bids=None):
     """Maximum-weight cycle cover without 2-cycles but with half-edges.
 
-    Exhaustive over the cached structure list; at least as heavy as any
-    tour, since full tours are feasible structures.
+    Exhaustive over the cached structure list, keeping the first of equal
+    maxima; at least as heavy as any tour, since full tours are feasible
+    structures.
     """
-    wf = _bid_weight(g, bids)
-    n = g.num_vertices
-    best = None
-    best_arcs = None
-    for arcs in _half_edge_structures(n):
-        weight = sum((wf(u, v) / 2 for u, v, _ in arcs), F0)
-        if best is None or weight > best:
-            best = weight
-            best_arcs = arcs
-    return HalfEdgeCover(n, best_arcs), best
+    best, arcs = max(_scored_half_edge_structures(g, bids), key=lambda s: s[0])
+    return HalfEdgeCover(g.num_vertices, arcs), best
 
 
 def check_half_edge_social_cost(g: CompleteDigraph, bids, tour: HamiltonianCycle) -> CostCertificate:
@@ -469,11 +471,7 @@ def check_half_edge_social_cost(g: CompleteDigraph, bids, tour: HamiltonianCycle
         )
     if tour.n != n:
         raise StructuralError("tour size does not match the graph")
-    wf = _bid_weight(g, bids)
-    scored = [
-        (sum((wf(u, v) / 2 for u, v, _ in arcs), F0), arcs)
-        for arcs in _half_edge_structures(n)
-    ]
+    scored = _scored_half_edge_structures(g, bids)
     best = max(w for w, _ in scored)
     lhs = F0
     for u, v in tour.edges():

@@ -534,30 +534,51 @@ class CostCertificate:
         }
 
 
+DEVIATION_RESOLUTION = 20
+
+
 @dataclass(frozen=True)
 class Counterexample:
-    """A lower-bound construction: instance, equilibrium, and its welfare gap.
+    """The equilibrium gap of exact integral welfare maximization.
 
-    The bids form a pure Nash equilibrium of the pay-your-bid mechanism given
-    by rule (certify with verify_pure_nash), and ratio = optimum divided by
-    the equilibrium welfare.
+    Small players of value 1 face two whole-supply players worth 2. The
+    small players bidding zero and the big ones bidding truthfully is a pure
+    Nash equilibrium of the pay-your-bid mechanism given by rule (certify
+    with verify_pure_nash over deviations()), and ratio = optimum divided by
+    the equilibrium welfare. flat(i, amount) is the domain's bid of amount
+    for anything player i can win.
     """
 
     instance: object
     values: tuple
     bids: tuple
     rule: AllocationRule
+    flat: Callable
     optimum: Fraction
     equilibrium_welfare: Fraction
     ratio: Fraction
 
     @classmethod
-    def of(cls, instance, values, bids, rule: AllocationRule) -> "Counterexample":
-        """The construction with its optimum rule.solve(values), the welfare
-        of rule.allocate(bids) and their ratio filled in."""
+    def of(
+        cls, instance, values, small: int, rule: AllocationRule, flat
+    ) -> "Counterexample":
+        """The first small players bid zero and the rest truthfully; the
+        optimum rule.solve(values), the equilibrium welfare and their ratio
+        are filled in."""
+        bids = tuple(v.scale(0) if i < small else v for i, v in enumerate(values))
         optimum = rule.solve(values)[1]
         welfare = run_pay_your_bid(rule, bids, values).welfare
-        return cls(instance, values, bids, rule, optimum, welfare, optimum / welfare)
+        ratio = optimum / welfare
+        return cls(instance, values, bids, rule, flat, optimum, welfare, ratio)
+
+    def deviations(self) -> list:
+        """Per player: the value scaled by j / DEVIATION_RESOLUTION for every
+        j, then flat bids at the construction's levels 0, 1 and 2."""
+        thetas = theta_grid(DEVIATION_RESOLUTION)
+        return [
+            [v.scale(t) for t in thetas] + [self.flat(i, level) for level in (0, 1, 2)]
+            for i, v in enumerate(self.values)
+        ]
 
 
 @dataclass(frozen=True)

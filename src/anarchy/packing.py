@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from random import Random
 from typing import ClassVar
 
@@ -349,23 +349,8 @@ def gen_multiunit_counterexample(m: int) -> Counterexample:
     values.append(list(big))
     values.append(list(big))
     inst = multiunit_instance(values, m)
-    vals = truthful_bids(inst)
-    bids = tuple(
-        OptionValuation(i, (F0,) * m) if i < m else vals[i] for i in range(m + 2)
-    )
-    return Counterexample.of(inst, vals, bids, integral_rule(inst))
-
-
-def counterexample_deviations(ce: Counterexample, resolution: int = 20) -> list:
-    """Scaled-value bids plus flat bids at the construction's levels 0, 1, 2."""
-    inst = ce.instance
-    grids = []
-    for i, v in enumerate(ce.values):
-        cand = [v.scale(Fraction(j, resolution)) for j in range(resolution + 1)]
-        for level in (0, 1, 2):
-            cand.append(uniform_option_bid(inst, i, level))
-        grids.append(cand)
-    return grids
+    flat = partial(uniform_option_bid, inst)
+    return Counterexample.of(inst, truthful_bids(inst), m, integral_rule(inst), flat)
 
 
 def random_feasible_point(inst: PackingInstance, rng: Random) -> tuple:

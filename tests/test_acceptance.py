@@ -169,18 +169,15 @@ def test_07_fair_rounding_marginals():
 def test_08_equilibrium_gap_constructions():
     t0 = time.monotonic()
     cases = (
-        (packing.gen_multiunit_counterexample, packing.counterexample_deviations),
-        (flows.gen_flow_counterexample, flows.counterexample_flow_deviations),
-        (
-            auctions.gen_symmetric_counterexample,
-            auctions.counterexample_symmetric_deviations,
-        ),
+        packing.gen_multiunit_counterexample,
+        flows.gen_flow_counterexample,
+        auctions.gen_symmetric_counterexample,
     )
-    for gen, deviations in cases:
+    for gen in cases:
         ce = gen(10)
         assert ce.ratio == 5
         assert ce.optimum == 10 and ce.equilibrium_welfare == 2
-        cert = verify_pure_nash(ce.rule, ce.bids, ce.values, deviations(ce))
+        cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
         assert cert.is_nash
         assert cert.max_regret == 0
     stamp("08 equilibrium-gaps", t0)

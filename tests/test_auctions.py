@@ -20,7 +20,6 @@ from anarchy.auctions import (
     cardinality_integral_rule,
     check_ca_social_cost,
     config_instance,
-    counterexample_symmetric_deviations,
     eval_mph,
     fair_round,
     fair_round_support,
@@ -811,10 +810,28 @@ def test_counterexample_equilibrium_outcome():
     assert brute_force_cardinality(5, ce.values) == 5
 
 
+def test_counterexample_bids_and_deviations_are_written_out():
+    ce = gen_symmetric_counterexample(4)
+    small = [SymmetricValuation(i, (0, 0, 0, 0, 0)) for i in range(4)]
+    big = [SymmetricValuation(i, (0, 0, 0, 0, 2)) for i in (4, 5)]
+    assert ce.bids == tuple(small + big)
+    assert hash(ce.bids) == hash(tuple(small + big))
+    grid = [Fr(j, 20) for j in range(21)]
+    want = [
+        [SymmetricValuation(i, (0, t, t, t, t)) for t in grid]
+        + [SymmetricValuation(i, (0, a, a, a, a)) for a in (0, 1, 2)]
+        for i in range(4)
+    ] + [
+        [SymmetricValuation(i, (0, 0, 0, 0, 2 * t)) for t in grid]
+        + [SymmetricValuation(i, (0, a, a, a, a)) for a in (0, 1, 2)]
+        for i in (4, 5)
+    ]
+    assert ce.deviations() == want
+
+
 def test_counterexample_is_pure_nash():
     ce = gen_symmetric_counterexample(4)
-    grids = counterexample_symmetric_deviations(ce)
-    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, grids)
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
     assert cert.is_nash
     assert cert.max_regret == 0
 

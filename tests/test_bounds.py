@@ -15,6 +15,7 @@ from anarchy import auctions, flows, maxtsp, packing
 from anarchy.cli import (
     ExperimentConfig,
     _dynamics_setup,
+    _unit_edge_duopoly,
     cmd_check_smoothness,
     cmd_dynamics,
     cmd_paper_table,
@@ -118,6 +119,14 @@ def test_check_smoothness_rows_read_the_statement(domain, m, stated):
 )
 def test_dynamics_rows_read_the_statement(domain, stated):
     config = ExperimentConfig(domain, "dynamics", rounds=1)
-    assert _dynamics_setup(config)[3] == stated
+    rule, values, params = _dynamics_setup(config)
+    assert params == stated
+    if domain == "packing":
+        # Hedge runs on the rule whose bound the row reports
+        assert rule.name == "packing-lp"
     (row,) = cmd_dynamics(config)
     assert row.results["poa_bound"] == poa_from_smoothness(stated)
+    assert row.results["opt"] == rule.solve(values)[1]
+    if domain == "flow":
+        # the greedy flow's value is the path LP's
+        assert row.results["opt"] == flows.solve_path_lp(_unit_edge_duopoly(), values)

@@ -180,9 +180,9 @@ def test_hedge_trace_matches_the_per_round_reference():
         cases.append((*first_price, 200, {"seed": 5, "initial_weights": start}))
     cases.append((*first_price, 200, {"seed": 6, "eta": 363.0}))
     cases.append((*fair, 60, {"seed": 3, "eta": 360.0}))
-    # the packing, cycle-cover and flow rules as the dynamics command sets
-    # them up: choice tuples, cycle covers and path assignments key the
-    # memo, and option, edge and route bids the relaxation cache
+    # the integral packing, cycle-cover and flow rules on the dynamics
+    # command's instances: choice tuples, cycle covers and path assignments
+    # key the memo, and option, edge and route bids the relaxation cache
     ce = packing.gen_multiunit_counterexample(4)
     digraph = maxtsp.gen_digraphs(1, 0, sizes=(3,))[0]
     duopoly = flows.FlowInstance(

@@ -18,7 +18,6 @@ from anarchy.flows import (
     _alter_to_feasible,
     check_fractional_flow,
     check_matroid_axioms,
-    counterexample_flow_deviations,
     enumerate_paths,
     exchange_matching,
     flow_decompose,
@@ -656,10 +655,30 @@ def test_counterexample_structure():
     assert best == 4
 
 
+def test_counterexample_bids_and_deviations_are_written_out():
+    ce = gen_flow_counterexample(4)
+    want_bids = tuple(RouteValuation(i, 0) for i in range(4)) + (
+        RouteValuation(4, 2),
+        RouteValuation(5, 2),
+    )
+    assert ce.bids == want_bids
+    assert hash(ce.bids) == hash(want_bids)
+    grid = [Fraction(j, 20) for j in range(21)]
+    want = [
+        [RouteValuation(i, t) for t in grid]
+        + [RouteValuation(i, a) for a in (0, 1, 2)]
+        for i in range(4)
+    ] + [
+        [RouteValuation(i, 2 * t) for t in grid]
+        + [RouteValuation(i, a) for a in (0, 1, 2)]
+        for i in (4, 5)
+    ]
+    assert ce.deviations() == want
+
+
 def test_counterexample_is_pure_nash_m4():
     ce = gen_flow_counterexample(4)
-    grids = counterexample_flow_deviations(ce, resolution=4)
-    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, grids)
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
     assert cert.is_nash and cert.max_regret == 0
 
 
@@ -667,7 +686,7 @@ def test_counterexample_is_pure_nash_m20():
     # 22 players on one edge: beyond the assignment guard, so it is swept
     ce = gen_flow_counterexample(20)
     assert ce.ratio == 10
-    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, counterexample_flow_deviations(ce))
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
     assert cert.is_nash and cert.max_regret == 0
 
 

@@ -432,6 +432,21 @@ def test_half_edge_uniform_weight():
         assert w == n
 
 
+def test_half_edge_cover_keeps_the_first_maximum():
+    # uniform weights tie every structure; 0/1 weights tie many
+    cover, _ = half_edge_cover(uniform_digraph(4))
+    assert cover.arcs == _half_edge_structures(4)[0]
+    for g in gen_digraphs(9, seed=29, sizes=(3, 4, 5), max_weight=1):
+        n = g.num_vertices
+        weights = [
+            sum((g.w(u, v) / 2 for u, v, _ in arcs), F0)
+            for arcs in _half_edge_structures(n)
+        ]
+        first = weights.index(max(weights))
+        cover, best = half_edge_cover(g)
+        assert (cover.arcs, best) == (_half_edge_structures(n)[first], weights[first])
+
+
 def test_half_edge_beats_triangles_on_three_vertices():
     # mixed half states can top every triangle even at n=3: an edge may
     # serve as the outgoing half for both of its endpoints

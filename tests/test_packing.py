@@ -22,7 +22,6 @@ from anarchy.packing import (
     check_feasible,
     check_pip_social_cost,
     column_sparsity,
-    counterexample_deviations,
     gen_instances,
     gen_multiunit_counterexample,
     integral_rule,
@@ -461,10 +460,28 @@ def test_counterexample_welfare_split():
         assert ce.instance.n == m + 2
 
 
+def test_counterexample_bids_and_deviations_are_written_out():
+    ce = gen_multiunit_counterexample(4)
+    small = [OptionValuation(i, (F0,) * 4) for i in range(4)]
+    big = [OptionValuation(i, (F0, F0, F0, Fraction(2))) for i in (4, 5)]
+    assert ce.bids == tuple(small + big)
+    assert hash(ce.bids) == hash(tuple(small + big))
+    grid = [Fraction(j, 20) for j in range(21)]
+    want = [
+        [OptionValuation(i, (t,) * 4) for t in grid]
+        + [OptionValuation(i, (Fraction(a),) * 4) for a in (0, 1, 2)]
+        for i in range(4)
+    ] + [
+        [OptionValuation(i, (F0, F0, F0, 2 * t)) for t in grid]
+        + [OptionValuation(i, (Fraction(a),) * 4) for a in (0, 1, 2)]
+        for i in (4, 5)
+    ]
+    assert ce.deviations() == want
+
+
 def test_counterexample_is_pure_nash_m4():
     ce = gen_multiunit_counterexample(4)
-    grids = counterexample_deviations(ce, resolution=4)
-    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, grids)
+    cert = verify_pure_nash(ce.rule, ce.bids, ce.values, ce.deviations())
     assert cert.is_nash
     assert cert.max_regret == 0
     assert not cert.statistical
