@@ -9,7 +9,6 @@ and the cardinality one a one-row packing program.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations, islice
@@ -29,6 +28,7 @@ from .mechanism import (
     integral_argmax,
     product_support,
     relaxation,
+    value_type,
 )
 from .packing import (
     PackingInstance,
@@ -61,7 +61,7 @@ def item_subsets(m: int) -> tuple:
 # ---------------------------------------------------------------- valuations
 
 
-@dataclass(frozen=True)
+@value_type
 class MPHkValuation(Valuation):
     """Max over clauses of summed hyperedge values, hyperedges of size <= k.
 
@@ -73,7 +73,6 @@ class MPHkValuation(Valuation):
     k: int
     clauses: tuple
     domain: ClassVar[str] = "auction"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player, k, clauses):
         if k < 1:
@@ -164,14 +163,13 @@ def additive_valuation(player: int, weights) -> MPHkValuation:
     return MPHkValuation(player, 1, [clause])
 
 
-@dataclass(frozen=True)
+@value_type
 class SymmetricValuation(Valuation):
     """Depends only on how many items are received; levels[j] for j items."""
 
     player: int
     levels: tuple  # levels[0] == 0, indices 0..m
     domain: ClassVar[str] = "auction"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player, levels):
         levels = tuple(frac(x) for x in levels)
@@ -223,7 +221,7 @@ def flat_symmetric_bid(m: int, player: int, amount) -> SymmetricValuation:
 # ------------------------------------------------------------ configuration
 
 
-@dataclass(frozen=True)
+@value_type
 class ConfigLPSolution:
     """Fractional set allocation: per player a row over item_subsets(m)."""
 
@@ -339,7 +337,7 @@ def check_ca_social_cost(bids, x: ConfigLPSolution, k: int) -> CostCertificate:
 # ----------------------------------------------------------- symmetric case
 
 
-@dataclass(frozen=True)
+@value_type
 class CardinalityLPSolution:
     """Fractional allocation by set size: x[i][j-1] is player i's weight on
     receiving exactly j items."""

@@ -349,7 +349,7 @@ def half_value_regret(trace: PlayTrace, values=None) -> tuple:
     occurred, with each round's recorded seed, and every grid holds 1/2, so
     nothing is replayed and a trace loaded from JSON answers too. values is
     not read: the benchmark harness still passes it positionally, and the
-    argument goes when the harness drops it (ROADMAP item 4).
+    argument goes when the harness drops it (ROADMAP item 1).
     """
     return tuple(
         (row[trace.grid.half_index(i)] - actual) / trace.T

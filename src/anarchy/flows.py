@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mechanism import AllocationRule, Counterexample, SmoothnessParams, Valuation
 from .mechanism import HALF_VALUE, integral_argmax, product_support, relaxation
-from .mechanism import run_pay_your_bid
+from .mechanism import run_pay_your_bid, value_type
 from .rationals import F0, F1, HALF, bernoulli, frac, frac_str, parse_frac
 from .rationals import scale_to_integers, weighted_index
 from .solvers import CapacitatedDigraph, Residual, max_flow, solve_lp
@@ -133,14 +133,13 @@ class FlowInstance:
         return FlowInstance(graph, data["source"], requests)
 
 
-@dataclass(frozen=True)
+@value_type
 class RouteValuation(Valuation):
     """Worth amount for full delivery, pro rata below that."""
 
     player: int
     amount: Fraction
     domain: ClassVar[str] = "flow"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player, amount):
         amount = frac(amount)
@@ -164,7 +163,7 @@ class RouteValuation(Valuation):
         return self.amount
 
 
-@dataclass(frozen=True)
+@value_type
 class FractionalFlow:
     """Per-player edge flows plus the routed amount r_i each sink received."""
 
@@ -622,12 +621,11 @@ class MatroidOracle:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@value_type
 class MatroidValuation(Valuation):
     player: int
     amount: Fraction
     domain: ClassVar[str] = "matroid"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player, amount):
         amount = frac(amount)

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 from .errors import SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, HALF_VALUE, SmoothnessParams
-from .mechanism import Valuation, product_support
+from .mechanism import Valuation, product_support, value_type
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
@@ -69,7 +69,7 @@ class CompleteDigraph:
         return CompleteDigraph(data["n"], [parse_frac(w) for w in data["weights"]])
 
 
-@dataclass(frozen=True)
+@value_type
 class EdgeValuation(Valuation):
     """One directed edge's owner: worth amount when the edge is used.
 
@@ -81,7 +81,6 @@ class EdgeValuation(Valuation):
     v: int
     amount: Fraction
     domain: ClassVar[str] = "maxtsp"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player, u, v, amount):
         amount = frac(amount)

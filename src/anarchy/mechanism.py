@@ -165,30 +165,32 @@ def relaxation(options, capacities, weights) -> IntegerProgram:
     return IntegerProgram([w for ws in weights for w in ws], rows + ones)
 
 
-class Valuation:
-    """Interface for player valuations (and bids, which are valuations too).
+def _hash_once(self) -> int:
+    """The dataclass hash of a value type's fields, taken once: bids and
+    relaxed points key every cache and memo, and Fraction hashes are dear.
+    No str field enters it, so a pickled value's hash holds in every process."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+        return h
 
-    Concrete classes are frozen dataclasses carrying a player index and a
-    class-constant domain tag, outside equality and hashing; value(None)
-    must be 0 and values must be nonnegative. Each binds
-    __hash__ = Valuation.__hash__, which @dataclass(frozen=True) would
-    otherwise replace with its own.
-    """
+
+def value_type(cls):
+    """cls as a frozen dataclass hashed by _hash_once."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _hash_once
+    return cls
+
+
+class Valuation:
+    """Interface for player valuations (and bids, which are valuations too):
+    value types with a player index and a class-constant domain tag, outside
+    equality and hashing; value(None) is 0 and values are nonnegative."""
 
     domain: ClassVar[str]
     player: int
-
-    def __hash__(self) -> int:
-        """The dataclass hash of the fields, taken once: bid profiles key
-        every relaxation cache and Fraction hashes are not cheap. No str
-        field enters it, so a pickled valuation's hash holds in every
-        process."""
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def value(self, outcome) -> Fraction:
         raise NotImplementedError
@@ -284,24 +286,26 @@ class AllocationRule:
 
 
 class RelaxationCache:
-    """One relaxation per distinct bid profile, shared by every caller.
+    """One solve per distinct bid profile, one support per distinct point.
 
     Counterfactual re-runs and deviation checks revisit the same joint bid
-    profile constantly, and OPT is the solve at the truthful profile. The
-    cache pays one solve and at most one support enumeration per distinct
-    profile; each rounding draw reuses the profile's solved point.
+    profile constantly, and OPT is the solve at the truthful profile. Points
+    are interned: profiles relaxing to equal points share one object, its
+    cached rounding tables and its support, as the round never reads bids.
     """
 
     def __init__(self, rule: AllocationRule):
         self.rule = rule
         self.relaxed = {}
+        self.points = {}
         self.supports = {}
 
     def solve(self, bids):
-        """rule.solve(bids), computed once per profile."""
+        """rule.solve(bids), computed once per profile, its point interned."""
         relaxed = self.relaxed.get(bids)
         if relaxed is None:
-            relaxed = self.relaxed[bids] = self.rule.solve(bids)
+            point, value = self.rule.solve(bids)
+            relaxed = self.relaxed[bids] = (self.points.setdefault(point, point), value)
         return relaxed
 
     def outcome(self, bids, seed):
@@ -309,9 +313,10 @@ class RelaxationCache:
 
     def support(self, bids):
         """Exact support at bids, None without one; SizeGuardError if too large."""
-        if bids not in self.supports:
-            self.supports[bids] = self.rule.point_support(self.solve(bids)[0])
-        return self.supports[bids]
+        point = self.solve(bids)[0]
+        if point not in self.supports:
+            self.supports[point] = self.rule.point_support(point)
+        return self.supports[point]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import ClassVar
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
 from .mechanism import HALF_VALUE, SmoothnessParams, integral_argmax, relaxation
+from .mechanism import value_type
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import solve_lp
 
@@ -113,21 +114,20 @@ class PackingInstance:
         return PackingInstance(values, rows, caps)
 
 
-@dataclass(frozen=True)
+@value_type
 class PackingAllocation:
     """An LP point; integral outcomes are solve_packing_integral's tuples."""
 
     x: tuple  # n x K fractions
 
 
-@dataclass(frozen=True)
+@value_type
 class OptionValuation(Valuation):
     """Value amounts[k] for receiving option k; linear in fractional shares."""
 
     player: int
     amounts: tuple
     domain: ClassVar[str] = "packing"
-    __hash__ = Valuation.__hash__
 
     def __init__(self, player: int, amounts):
         amounts = tuple(frac(a) for a in amounts)

@@ -180,15 +180,17 @@ def test_hedge_trace_matches_the_per_round_reference():
         cases.append((*first_price, 200, {"seed": 5, "initial_weights": start}))
     cases.append((*first_price, 200, {"seed": 6, "eta": 363.0}))
     cases.append((*fair, 60, {"seed": 3, "eta": 360.0}))
-    # the integral packing, cycle-cover and flow rules on the dynamics
-    # command's instances: choice tuples, cycle covers and path assignments
-    # key the memo, and option, edge and route bids the relaxation cache
+    # the packing LP, integral packing, cycle-cover and fractional flow
+    # rules on the dynamics command's instances: interned LP points, choice
+    # tuples, cycle covers and interned flows key the memo, and option, edge
+    # and route bids the relaxation cache
     ce = packing.gen_multiunit_counterexample(4)
     digraph = maxtsp.gen_digraphs(1, 0, sizes=(3,))[0]
     duopoly = flows.FlowInstance(
         CapacitatedDigraph(2, [(0, 1, 1)]), 0, [(1, 1, 1), (1, 1, Fr(1, 2))]
     )
     for rule, values in (
+        (packing.lp_rule(ce.instance), ce.values),
         (packing.integral_rule(ce.instance), ce.values),
         (maxtsp.cycle_cover_rule(digraph), maxtsp.truthful_edge_bids(digraph)),
         (flows.fractional_rule(duopoly), flows.truthful_flow_bids(duopoly)),

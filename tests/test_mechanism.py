@@ -17,6 +17,7 @@ from anarchy.mechanism import (
     GENERAL,
     HALF_VALUE,
     AllocationRule,
+    RelaxationCache,
     SmoothnessParams,
     check_smoothness,
     compose_smoothness,
@@ -377,8 +378,13 @@ def test_relaxation_layout():
     assert (sol.x, sol.value) == ((Fraction(1, 3), Fraction(2, 3)), Fraction(7, 2))
 
 
-# each valuation class twice, equal but built from different inputs
-EQUAL_VALUATIONS = [
+def _duopoly(demand):
+    return flows.FlowInstance(CapacitatedDigraph(2, [(0, 1, 1)]), 0, [(1, demand, 1)])
+
+
+# each valuation class and each Fraction-holding relaxed-point class twice,
+# equal but built from differently written Fractions
+EQUAL_VALUES = [
     pytest.param(
         lambda: packing.OptionValuation(1, (Fraction(2, 4), 3)),
         lambda: packing.OptionValuation(1, ["1/2", Fraction(6, 2)]),
@@ -409,10 +415,30 @@ EQUAL_VALUATIONS = [
         lambda: SymmetricValuation(1, [Fraction(0), Fraction(2, 2), "3/2"]),
         id="SymmetricValuation",
     ),
+    pytest.param(
+        lambda: packing.PackingAllocation(((Fraction(2, 4), 1), (F0, Fraction(3, 6)))),
+        lambda: packing.PackingAllocation(((H, F1), (0, Fraction(1, 2)))),
+        id="PackingAllocation",
+    ),
+    pytest.param(
+        lambda: flows.FractionalFlow(_duopoly(Fraction(4, 4)), ((H,),), (Fraction(2, 4),)),
+        lambda: flows.FractionalFlow(_duopoly("1"), ((Fraction(3, 6),),), (H,)),
+        id="FractionalFlow",
+    ),
+    pytest.param(
+        lambda: auctions.CardinalityLPSolution(2, [[Fraction(2, 4), 0], [0, "1/2"]]),
+        lambda: auctions.CardinalityLPSolution(2, [["1/2", F0], [F0, Fraction(3, 6)]]),
+        id="CardinalityLPSolution",
+    ),
+    pytest.param(
+        lambda: auctions.ConfigLPSolution(1, [[0, Fraction(2, 4)], [Fraction(1, 3), 0]]),
+        lambda: auctions.ConfigLPSolution(1, [["0", "1/2"], [Fraction(2, 6), F0]]),
+        id="ConfigLPSolution",
+    ),
 ]
 
 
-@pytest.mark.parametrize("make_a, make_b", EQUAL_VALUATIONS)
+@pytest.mark.parametrize("make_a, make_b", EQUAL_VALUES)
 def test_every_valuation_hashes_once_as_its_dataclass_hash(make_a, make_b, monkeypatch):
     a, b = make_a(), make_b()
     assert a is not b and a == b and hash(a) == hash(b)
@@ -603,6 +629,29 @@ def test_verify_pure_nash_relaxes_each_profile_once():
         }
         assert len(relaxed) == len(set(relaxed))
         assert set(relaxed) == profiles
+
+
+def test_relaxation_cache_interns_equal_points_and_rounds_them_once():
+    # the round never reads the bids: a profile and its double relax to
+    # equal points, which the cache hands back as one object and enumerates
+    # once
+    rule = fair_rule(2)
+    enumerated = []
+
+    def counting(point):
+        enumerated.append(point)
+        return rule.round_support(point)
+
+    cache = RelaxationCache(replace(rule, round_support=counting))
+    bids = (SymmetricValuation(0, (0, 1, 1)), SymmetricValuation(1, (0, 1, 2)))
+    doubled = tuple(b.scale(2) for b in bids)
+    assert rule.solve(bids)[0] == rule.solve(doubled)[0]
+    point, value = cache.solve(bids)
+    assert cache.solve(doubled) == (point, 2 * value)
+    assert cache.solve(doubled)[0] is point
+    assert cache.support(bids) is cache.support(doubled)
+    assert len(enumerated) == 1 and enumerated[0] is point
+    assert len(cache.relaxed) == 2
 
 
 def test_expected_run_samples_when_support_is_too_large():
