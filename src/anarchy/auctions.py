@@ -25,17 +25,18 @@ from .mechanism import (
     SmoothnessParams,
     SymbolicAlpha,
     Valuation,
+    check_bids,
     integral_argmax,
     product_support,
     relaxation,
     value_type,
 )
 from .packing import (
+    OptionValuation,
     PackingInstance,
     multiunit_instance,
     residual_loss,
     solve_packing_lp,
-    truthful_bids,
 )
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, scale_to_integers
 
@@ -265,12 +266,6 @@ class ConfigLPSolution:
         return sum((b.value(self) for b in bids), F0)
 
 
-def _check_auction_bids(bids) -> None:
-    for i, b in enumerate(bids):
-        if b.player != i or b.domain != "auction":
-            raise StructuralError("bid does not match its player slot")
-
-
 def _set_value(bid, S) -> Fraction:
     if isinstance(bid, SymmetricValuation):
         return bid.levels[len(S)]
@@ -287,36 +282,44 @@ def _check_levels(m: int, bids) -> None:
             )
 
 
-def config_instance(m: int, bids) -> tuple:
-    """The configuration LP as a packing program, (PackingInstance, option bids).
+@lru_cache(maxsize=16)
+def _config_shape(n: int, m: int) -> PackingInstance:
+    """The configuration LP's constraints for n bidders on m items, its
+    rows compiled once per shape: option s of every player is the bundle
+    item_subsets(m)[s], and item j is one capacity-1 row touched by the
+    bundles holding j. Its values are zeros; the bids are the objective."""
+    subs = item_subsets(m)
+    rows = [[[F1 if j in S else F0 for S in subs]] * n for j in range(m)]
+    return PackingInstance(((F0,) * len(subs),) * n, rows, [F1] * m)
 
-    Option s of every player is the bundle item_subsets(m)[s], valued by that
-    player's bid; item j is one capacity-1 row touched by the bundles holding j.
-    A hyperedge naming an item outside 0..m-1 is a StructuralError: no bundle
-    would ever hold it, so the bid would be silently ignored; so is a
-    symmetric bid without exactly m + 1 levels.
+
+def config_instance(m: int, bids) -> tuple:
+    """The configuration LP as a packing program, (its shape, option bids):
+    option s of player i is bid at bids[i]'s value for item_subsets(m)[s].
+
+    A hyperedge naming an item outside 0..m-1 (a bool is no item) is a
+    StructuralError: no bundle would ever hold it, so the bid would be
+    silently ignored; so is a symmetric bid without exactly m + 1 levels.
     """
     subs = item_subsets(m)
     _check_levels(m, bids)
     for b in bids:
         clauses = b.clauses if isinstance(b, MPHkValuation) else ()
         for j in (j for clause in clauses for T, _ in clause for j in T):
-            if not (isinstance(j, int) and 0 <= j < m):
+            if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < m):
                 raise StructuralError(
                     f"player {b.player} bids on item {j!r}; "
                     f"the auction has items 0 to {m - 1}"
                 )
-    amounts = [[_set_value(b, S) for S in subs] for b in bids]
-    rows = [[[F1 if j in S else F0 for S in subs] for _ in bids] for j in range(m)]
-    inst = PackingInstance(amounts, rows, [F1] * m)
-    return inst, truthful_bids(inst)
+    option_bids = tuple(
+        OptionValuation(i, [_set_value(b, S) for S in subs]) for i, b in enumerate(bids)
+    )
+    return _config_shape(len(bids), m), option_bids
 
 
 def solve_config_lp(n: int, m: int, bids):
     """Exact configuration LP optimum, (ConfigLPSolution, value)."""
-    if len(bids) != n:
-        raise StructuralError("one bid per player required")
-    _check_auction_bids(bids)
+    check_bids(bids, "auction", n)
     alloc, value = solve_packing_lp(*config_instance(m, bids))
     return ConfigLPSolution(m, alloc.x), value
 
@@ -324,9 +327,7 @@ def solve_config_lp(n: int, m: int, bids):
 def check_ca_social_cost(bids, x: ConfigLPSolution, k: int) -> CostCertificate:
     """Removing any one player's fractional share costs at most (k+1) times
     the full declared optimum, summed over players."""
-    _check_auction_bids(bids)
-    if len(bids) != x.n:
-        raise StructuralError("solution and bid profile sizes differ")
+    check_bids(bids, "auction", x.n)
     lhs, full = residual_loss(*config_instance(x.m, bids), x.x)
     rhs = (k + 1) * full
     return CostCertificate(
@@ -409,7 +410,7 @@ def _require_symmetric(bids) -> None:
 
 
 def _check_cardinality_bids(m: int, bids) -> None:
-    _check_auction_bids(bids)
+    check_bids(bids, "auction")
     _require_symmetric(bids)
     _check_levels(m, bids)
 

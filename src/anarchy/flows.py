@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mechanism import AllocationRule, Counterexample, SmoothnessParams, Valuation
 from .mechanism import HALF_VALUE, integral_argmax, product_support, relaxation
-from .mechanism import run_pay_your_bid, value_type
+from .mechanism import check_bids, run_pay_your_bid, value_type
 from .rationals import F0, F1, HALF, bernoulli, frac, frac_str, parse_frac
 from .rationals import scale_to_integers, weighted_index
 from .solvers import CapacitatedDigraph, Residual, max_flow, solve_lp
@@ -67,10 +67,10 @@ class FlowInstance:
         requests = tuple(
             r if isinstance(r, FlowRequest) else FlowRequest(*r) for r in requests
         )
-        if not 0 <= source < graph.num_vertices:
+        if isinstance(source, bool) or not 0 <= source < graph.num_vertices:
             raise StructuralError("source outside the vertex range")
         for r in requests:
-            if not 0 <= r.sink < graph.num_vertices:
+            if isinstance(r.sink, bool) or not 0 <= r.sink < graph.num_vertices:
                 raise StructuralError("sink outside the vertex range")
             if r.sink == source:
                 raise StructuralError("requests from the source to itself are rejected")
@@ -204,14 +204,6 @@ def truthful_flow_bids(inst: FlowInstance) -> tuple:
     return tuple(RouteValuation(i, r.value) for i, r in enumerate(inst.requests))
 
 
-def _check_flow_bids(inst: FlowInstance, bids) -> None:
-    if len(bids) != inst.n:
-        raise StructuralError("one bid per player required")
-    for i, b in enumerate(bids):
-        if b.player != i or b.domain != "flow":
-            raise StructuralError(f"bid {i} does not fit the instance")
-
-
 def _cancel_cycles(num_vertices, heads, tails, f):
     """Remove directed flow cycles in place (f indexed like the edge list)."""
     while True:
@@ -291,7 +283,7 @@ def greedy_fractional_flow(inst: FlowInstance, bids):
     equals the optimum of the path LP. Later players may reroute earlier flow
     through residual arcs but never displace the amount already delivered.
     """
-    _check_flow_bids(inst, bids)
+    check_bids(bids, "flow", inst.n)
     n = inst.n
     order = sorted(
         range(n),
@@ -410,7 +402,7 @@ def solve_path_lp(inst: FlowInstance, bids) -> Fraction:
     """Optimum of the path LP: the mechanism.relaxation of
     inst.integer_program, where x[i, k] is the share of request i's demand
     on its k-th path and full delivery is worth bids[i].amount."""
-    _check_flow_bids(inst, bids)
+    check_bids(bids, "flow", inst.n)
     paths, options, caps = inst.integer_program
     if not any(paths):  # nothing is routable
         return F0
@@ -540,7 +532,7 @@ def solve_flow_integral(inst: FlowInstance, bids):
     anything else is searched, and meeting more than SEARCH_LIMIT feasible
     tuples there raises SizeGuardError.
     """
-    _check_flow_bids(inst, bids)
+    check_bids(bids, "flow", inst.n)
     paths, options, caps = inst.integer_program
     weights = [[b.amount] * len(ps) for b, ps in zip(bids, paths)]
     choices, best = integral_argmax(options, caps, weights)

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 from .errors import SizeGuardError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, HALF_VALUE, SmoothnessParams
-from .mechanism import Valuation, product_support, value_type
+from .mechanism import Valuation, check_bids, product_support, value_type
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac
 from .solvers import WeightMatrix, max_weight_perfect_matching
 
@@ -114,11 +114,9 @@ def truthful_edge_bids(g: CompleteDigraph) -> tuple:
 def _bid_weight(g: CompleteDigraph, bids):
     if bids is None:
         return g.w
-    if len(bids) != len(g.weights):
-        raise StructuralError("one bid per directed edge required")
-    for i, (u, v) in enumerate(g.edge_list()):
-        b = bids[i]
-        if b.player != i or (b.u, b.v) != (u, v) or b.domain != "maxtsp":
+    check_bids(bids, "maxtsp", len(g.weights))
+    for b, (u, v) in zip(bids, g.edge_list()):
+        if (b.u, b.v) != (u, v):
             raise StructuralError("bid does not match its edge slot")
     return lambda u, v: bids[g.index(u, v)].amount
 

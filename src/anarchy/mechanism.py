@@ -312,10 +312,14 @@ class RelaxationCache:
         return self.rule.round_point(self.solve(bids)[0], seed)
 
     def support(self, bids):
-        """Exact support at bids, None without one; SizeGuardError if too large."""
+        """Exact support at bids, None without one; SizeGuardError if too
+        large. A new support's probabilities are checked to sum to 1, once."""
         point = self.solve(bids)[0]
         if point not in self.supports:
-            self.supports[point] = self.rule.point_support(point)
+            support = self.rule.point_support(point)
+            if support is not None and sum(p for p, _ in support) != 1:
+                raise StructuralError("support probabilities must sum to 1")
+            self.supports[point] = support
         return self.supports[point]
 
 
@@ -336,27 +340,27 @@ class ExpectedRun:
     exact: bool
 
 
-def _check_profile(rule: AllocationRule, bids, values=None):
-    if values is not None and len(bids) != len(values):
-        raise StructuralError("bid and valuation profiles differ in length")
+def check_bids(bids, domain: str, n: Optional[int] = None) -> None:
+    """The one bid-profile check: bids[i] is player i's bid in domain and,
+    with n given, there are exactly n bids. Valuation profiles are checked
+    the same way, as bids are valuations. Raises StructuralError."""
+    if n is not None and len(bids) != n:
+        raise StructuralError(f"{len(bids)} bids for {n} players; one each required")
     for i, b in enumerate(bids):
-        if b.domain != rule.domain:
+        if b.domain != domain:
             raise StructuralError(
-                f"bid for player {i} has domain {b.domain!r}, rule wants {rule.domain!r}"
+                f"bid for player {i} has domain {b.domain!r}, not {domain!r}"
             )
         if b.player != i:
             raise StructuralError(f"bid at position {i} is bound to player {b.player}")
-    if values is not None:
-        for i, v in enumerate(values):
-            if v.domain != rule.domain or v.player != i:
-                raise StructuralError("valuation profile is inconsistent with the rule")
 
 
 def run_pay_your_bid(
     rule: AllocationRule, bids, values, seed: Optional[int] = None
 ) -> MechanismRun:
     """One realized run: allocate on bids, charge first prices, score on values."""
-    _check_profile(rule, bids, values)
+    check_bids(bids, rule.domain)
+    check_bids(values, rule.domain, len(bids))
     outcome = rule.allocate(bids, seed)
     payments = tuple(b.value(outcome) for b in bids)
     gross = tuple(v.value(outcome) for v in values)
@@ -378,7 +382,8 @@ def expected_run(
     """
     if samples < 1:
         raise PreconditionError(f"expected_run needs at least one sample, got {samples}")
-    _check_profile(rule, bids, values)
+    check_bids(bids, rule.domain)
+    check_bids(values, rule.domain, len(bids))
     n = len(bids)
     bids = tuple(bids)
     cache = cache or RelaxationCache(rule)
@@ -387,10 +392,7 @@ def expected_run(
     except SizeGuardError:  # too large to enumerate: sample instead
         outcomes = None
     exact = outcomes is not None
-    if exact:
-        if sum(p for p, _ in outcomes) != 1:
-            raise StructuralError("support probabilities must sum to 1")
-    else:
+    if not exact:
         rng = Random(seed)
         seeds = (rng.getrandbits(63) for _ in range(samples))
         draws = Counter(cache.outcome(bids, s) for s in seeds)
@@ -616,7 +618,6 @@ def verify_pure_nash(
     the check vacuously true. max_regret is the largest expected improvement
     found, floored at zero, so equilibria report max_regret == 0 exactly.
     """
-    _check_profile(rule, bids, values)
     cache = RelaxationCache(rule)
     base = expected_run(rule, bids, values, samples, seed, cache=cache)
     statistical = not base.exact

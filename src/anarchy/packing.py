@@ -25,7 +25,7 @@ from typing import ClassVar
 from .errors import PreconditionError, StructuralError
 from .mechanism import AllocationRule, CostCertificate, Counterexample, Valuation
 from .mechanism import HALF_VALUE, SmoothnessParams, integral_argmax, relaxation
-from .mechanism import value_type
+from .mechanism import check_bids, value_type
 from .rationals import F0, F1, HALF, frac, frac_str, parse_frac, scale_to_integers
 from .solvers import solve_lp
 
@@ -176,10 +176,9 @@ def column_sparsity(inst: PackingInstance) -> int:
 
 
 def _check_bids(inst: PackingInstance, bids) -> None:
-    if len(bids) != inst.n:
-        raise StructuralError("one bid per player required")
+    check_bids(bids, "packing", inst.n)
     for i, b in enumerate(bids):
-        if b.player != i or b.domain != "packing" or len(b.amounts) != inst.K:
+        if len(b.amounts) != inst.K:
             raise StructuralError(f"bid {i} does not fit the instance")
 
 

@@ -28,7 +28,9 @@ class CapacitatedDigraph:
         out = []
         for e in edges:
             u, v, c = e
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            if isinstance(u, bool) or isinstance(v, bool) or not (
+                0 <= u < num_vertices and 0 <= v < num_vertices
+            ):
                 raise StructuralError(f"edge ({u}, {v}) leaves the vertex range")
             if u == v:
                 raise StructuralError("self-loop edges are not allowed")

@@ -26,9 +26,9 @@ from typing import Sequence
 
 from anarchy.dynamics import SEED_SPAN, PlayTrace, RoundRecord, _in_range, default_eta
 from anarchy.errors import StructuralError
-from anarchy.flows import FlowInstance, PathAssignment, _check_flow_bids
+from anarchy.flows import FlowInstance, PathAssignment
 from anarchy.flows import enumerate_paths, flow_decompose
-from anarchy.mechanism import RelaxationCache
+from anarchy.mechanism import RelaxationCache, check_bids
 from anarchy.maxtsp import HamiltonianCycle
 from anarchy.packing import multiunit_instance, truthful_bids
 from anarchy.rationals import bernoulli, frac, scale_to_integers
@@ -460,7 +460,7 @@ def path_program(inst, bids):
 
 def path_lp_reference(inst: FlowInstance, bids):
     """Path-variable LP: per-unit objective, demand caps, edge capacities."""
-    _check_flow_bids(inst, bids)
+    check_bids(bids, "flow", inst.n)
     variables = []  # (player, path)
     for i in range(inst.n):
         for p in enumerate_paths(inst, inst.requests[i].sink):

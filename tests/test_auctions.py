@@ -48,7 +48,8 @@ from anarchy.mechanism import (
     poa_from_smoothness,
     verify_pure_nash,
 )
-from anarchy.packing import residual_welfare, solve_packing_integral, solve_packing_lp
+from anarchy.packing import PackingInstance, residual_welfare, solve_packing_integral
+from anarchy.packing import solve_packing_lp, truthful_bids
 from anarchy.rationals import integer_weights
 
 from oracles import (
@@ -252,6 +253,9 @@ def test_config_lp_validation():
     # item 1 of a one-item auction: no bundle holds it
     with pytest.raises(StructuralError, match="player 0 bids on item 1"):
         solve_config_lp(1, 1, (additive_valuation(0, (1, 2)),))
+    # a JSON true is not item 1
+    with pytest.raises(StructuralError, match="player 0 bids on item True"):
+        solve_config_lp(1, 2, (MPHkValuation(0, 1, [[({True}, 3)]]),))
     with pytest.raises(SizeGuardError):
         item_subsets(11)
 
@@ -538,6 +542,29 @@ def test_cardinality_lp_on_its_shape_equals_the_instance_path():
         expected = solve_packing_integral(*cardinality_instance(m, bids))
         assert solve_cardinality_integral(m, bids) == expected
     assert auctions._cardinality_shape(3, 2) is auctions._cardinality_shape(3, 2)
+    assert auctions._config_shape(3, 2) is auctions._config_shape(3, 2)
+
+
+def config_packing_instance(m, bids):
+    """The configuration LP as one PackingInstance per profile, (instance,
+    option bids): bundle values per player, one capacity-1 row per item."""
+    subs = item_subsets(m)
+    values = [[eval_mph(b, S) for S in subs] for b in bids]
+    rows = [[[int(j in S) for S in subs] for _ in bids] for j in range(m)]
+    inst = PackingInstance(values, rows, [1] * m)
+    return inst, truthful_bids(inst)
+
+
+def test_config_lp_on_its_shape_equals_the_instance_path():
+    profiles = gen_xos_instances(20, seed=83) + gen_mph_instances(20, seed=89, k=2)
+    for m, values in profiles:
+        inst, option_bids = config_packing_instance(m, values)
+        shape, bids = config_instance(m, values)
+        assert shape.integer_program == inst.integer_program
+        assert bids == option_bids
+        x, value = solve_config_lp(len(values), m, values)
+        alloc, expected = solve_packing_lp(inst, option_bids)
+        assert (x.x, value) == (alloc.x, expected)
 
 
 def test_cardinality_lp_without_bidders():

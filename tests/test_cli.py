@@ -281,6 +281,14 @@ def test_exit_one_on_non_text_rational_in_instance(tmp_path, capsys, cap, line):
     assert_one_line_error(capsys, line)
 
 
+ONE_EDGE_FLOW = {
+    "vertices": 2,
+    "edges": [{"u": 0, "v": 1, "cap": "1"}],
+    "source": 0,
+    "requests": [{"sink": 1, "demand": "1", "value": "1"}],
+}
+
+
 def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
     path = tmp_path / "five.json"
     path.write_text(json.dumps({"domain": "flow", "instances": [5]}))
@@ -341,6 +349,41 @@ def test_exit_one_on_non_object_instance_entry(tmp_path, capsys):
                 "instances": [{"m": 3, "levels": [["0", "1", "2", "3"], ["0", "1"]]}],
             },
             "anarchy: error: player 1 bids 2 levels; m = 3 needs 4, one per item count 0 to 3",
+        ),
+        # a JSON true or false is no index
+        (
+            "auctions",
+            {
+                "domain": "auctions",
+                "kind": "mph",
+                "instances": [
+                    {"m": 2, "bids": [{"k": 1, "clauses": [[{"T": [True], "v": "3"}]]}]}
+                ],
+            },
+            "anarchy: error: player 0 bids on item True; the auction has items 0 to 1",
+        ),
+        (
+            "flow",
+            {"domain": "flow", "instances": [dict(ONE_EDGE_FLOW, source=False)]},
+            "anarchy: error: source outside the vertex range",
+        ),
+        (
+            "flow",
+            {
+                "domain": "flow",
+                "instances": [
+                    dict(ONE_EDGE_FLOW, requests=[{"sink": True, "demand": "1", "value": "1"}])
+                ],
+            },
+            "anarchy: error: sink outside the vertex range",
+        ),
+        (
+            "flow",
+            {
+                "domain": "flow",
+                "instances": [dict(ONE_EDGE_FLOW, edges=[{"u": 0, "v": True, "cap": "1"}])],
+            },
+            "anarchy: error: edge (0, True) leaves the vertex range",
         ),
     ],
 )

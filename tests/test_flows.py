@@ -74,6 +74,11 @@ def test_instance_validation():
         FlowInstance(g, 0, [(7, 1, 1)])  # sink out of range
     with pytest.raises(StructuralError):
         FlowInstance(g, 9, [(1, 1, 1)])  # source out of range
+    # a JSON false or true is no vertex
+    with pytest.raises(StructuralError, match="source outside the vertex range"):
+        FlowInstance(g, False, [(1, 1, 1)])
+    with pytest.raises(StructuralError, match="sink outside the vertex range"):
+        FlowInstance(g, 0, [(True, 1, 1)])
 
 
 def test_json_round_trip():

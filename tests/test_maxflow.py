@@ -49,6 +49,10 @@ def test_vertex_out_of_range_rejected():
         max_flow(g, 0, 5)
     with pytest.raises(StructuralError):
         CapacitatedDigraph(2, [(0, 3, 1)])
+    # a JSON false or true is no vertex
+    for edge in ((0, True, 1), (False, 1, 1)):
+        with pytest.raises(StructuralError, match="leaves the vertex range"):
+            CapacitatedDigraph(2, [edge])
 
 
 def test_self_loop_rejected():

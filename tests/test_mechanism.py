@@ -3,6 +3,7 @@
 import pickle
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -105,6 +106,92 @@ def test_player_binding_checked():
         run_pay_your_bid(rule, swapped, item_bids(1, 1))
 
 
+def _retagged(bid):
+    """bid with every field kept, tagged with another domain."""
+    cls = type(bid)
+    foreign = type(f"Foreign{cls.__name__}", (cls,), {"domain": "elsewhere"})
+    out = object.__new__(foreign)
+    out.__dict__.update(vars(bid))
+    return out
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        run_pay_your_bid,
+        expected_run,
+        lambda rule, bids, values: verify_pure_nash(rule, bids, values, []),
+    ],
+    ids=["run_pay_your_bid", "expected_run", "verify_pure_nash"],
+)
+@pytest.mark.parametrize(
+    "values",
+    [
+        item_bids(5),
+        (ItemValuation(0, F1), ItemValuation(0, F1)),
+        (ItemValuation(0, F1), ItemValuation(1, F1, domain="elsewhere")),
+    ],
+    ids=["one-short", "wrong-index", "foreign"],
+)
+def test_values_profile_checked_at_every_entry(enter, values):
+    with pytest.raises(StructuralError):
+        enter(first_price_rule(), item_bids(3, 1), values)
+
+
+PACKING = packing.gen_instances("sparse-random", 1, 5, n=3, K=2, L=2, d=1)[0]
+FLOW = flows.FlowInstance(
+    CapacitatedDigraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), 0, [(1, 1, 2), (2, 1, 3)]
+)
+DIGRAPH = maxtsp.CompleteDigraph(3, range(1, 7))
+OPTION_BIDS = packing.truthful_bids(PACKING)
+ROUTE_BIDS = truthful_flow_bids(FLOW)
+CONFIG_BIDS = tuple(auctions.additive_valuation(i, (i + 1, 2)) for i in range(2))
+EMPTY_CONFIG = auctions.ConfigLPSolution(2, ((0,) * 4,) * 2)
+SYMMETRIC_BIDS = (SymmetricValuation(0, (0, 1, 3)), SymmetricValuation(1, (0, 2, 2)))
+
+# (a solver of a bid profile, a profile it accepts, whether it fixes n)
+BID_SOLVERS = [
+    (partial(packing.solve_packing_lp, PACKING), OPTION_BIDS, True),
+    (partial(packing.solve_packing_integral, PACKING), OPTION_BIDS, True),
+    (partial(flows.greedy_fractional_flow, FLOW), ROUTE_BIDS, True),
+    (partial(flows.solve_path_lp, FLOW), ROUTE_BIDS, True),
+    (partial(flows.solve_flow_integral, FLOW), ROUTE_BIDS, True),
+    (partial(auctions.solve_config_lp, 2, 2), CONFIG_BIDS, True),
+    (lambda bids: auctions.check_ca_social_cost(bids, EMPTY_CONFIG, 1), CONFIG_BIDS, True),
+    (partial(auctions.solve_cardinality_lp, 2), SYMMETRIC_BIDS, False),
+    (partial(maxtsp.max_weight_cycle_cover, DIGRAPH), truthful_edge_bids(DIGRAPH), True),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, bids, fixes_n",
+    BID_SOLVERS,
+    ids=[
+        "solve_packing_lp",
+        "solve_packing_integral",
+        "greedy_fractional_flow",
+        "solve_path_lp",
+        "solve_flow_integral",
+        "solve_config_lp",
+        "check_ca_social_cost",
+        "solve_cardinality_lp",
+        "max_weight_cycle_cover",
+    ],
+)
+def test_every_solver_checks_its_bid_profile(solve, bids, fixes_n):
+    solve(bids)
+    wrong = [
+        (_retagged(bids[0]),) + bids[1:],  # a bid from another domain
+        (bids[1], bids[0]) + bids[2:],  # two bids swapped
+        bids[1:],  # one bid too few, the rest bound to the wrong players
+    ]
+    if fixes_n:
+        wrong.append(bids[:-1])  # one bid too few, each in its place
+    for profile in wrong:
+        with pytest.raises(StructuralError):
+            solve(profile)
+
+
 def test_poa_values():
     assert poa_from_smoothness(SmoothnessParams(1, 1)) == 1
     assert poa_from_smoothness(SmoothnessParams(Fraction(1, 4), 3)) == 12
@@ -199,8 +286,29 @@ def test_expected_run_bad_support_probabilities():
         round_stage=lambda point, seed: 0,
         round_support=lambda point: [(H, 0), (Fraction(1, 3), 1)],
     )
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="must sum to 1"):
         expected_run(rule, item_bids(1), item_bids(1))
+
+
+def test_relaxation_cache_checks_each_support_where_it_builds_it():
+    built = []
+
+    def halves(point):
+        built.append(point)
+        return [(H, 0), (H, 1)]
+
+    rule = AllocationRule("single-item", split_item, coin_flip, halves)
+    cache = RelaxationCache(rule)
+    # both profiles relax to the point None: its support is built and
+    # checked once, and neither run sums it again
+    for bids in (item_bids(4, 2), item_bids(2, 4), item_bids(4, 2)):
+        assert expected_run(rule, bids, bids, cache=cache).exact
+    assert built == [None]
+    short = replace(rule, round_support=lambda point: [(H, 0), (Fraction(1, 4), 1)])
+    with pytest.raises(StructuralError, match="must sum to 1"):
+        RelaxationCache(short).support(item_bids(4, 2))
+    with pytest.raises(StructuralError, match="must sum to 1"):
+        expected_run(short, item_bids(4, 2), item_bids(4, 2))
 
 
 def test_expected_run_sampling_marked_statistical():
